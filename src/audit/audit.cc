@@ -51,12 +51,14 @@ struct Interval {
   Time end = 0.0;
 };
 
-/// Sorts and merges overlapping/adjacent intervals in place.
-std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
+bool begins_before(const Interval& a, const Interval& b) {
+  return a.begin < b.begin;
+}
+
+/// Merges overlapping/adjacent intervals already sorted by begin.  The
+/// result does not depend on the order of equal begins.
+std::vector<Interval> merge_sorted_intervals(
+    const std::vector<Interval>& intervals) {
   std::vector<Interval> merged;
   for (const Interval& i : intervals) {
     if (i.end <= i.begin) continue;
@@ -67,6 +69,12 @@ std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
     }
   }
   return merged;
+}
+
+/// Sorts and merges overlapping/adjacent intervals.
+std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end(), begins_before);
+  return merge_sorted_intervals(intervals);
 }
 
 class Auditor {
@@ -122,8 +130,12 @@ class Auditor {
     task_segments_.assign(task_count(), {});
     skipped_releases_.assign(task_count(), {});
 
+    begins_sorted_ = true;
     for (std::size_t i = 0; i < segments().size(); ++i) {
       const Segment& s = segments()[i];
+      if (i > 0 && !(segments()[i - 1].begin <= s.begin)) {
+        begins_sorted_ = false;
+      }
       if (s.mode == ProcessorMode::kRunning && s.task >= 0 &&
           static_cast<std::size_t>(s.task) < task_count()) {
         task_segments_[static_cast<std::size_t>(s.task)].push_back(i);
@@ -179,6 +191,65 @@ class Auditor {
         windows_[t].push_back(w);
       }
     }
+    index_windows();
+  }
+
+  /// Per-task window lookup structure for window_at: a task whose
+  /// windows are sorted by release gets the running maximum of their
+  /// ends; an unsorted one (a corrupt trace) keeps the linear scan.
+  void index_windows() {
+    window_end_max_.assign(task_count(), {});
+    for (std::size_t t = 0; t < task_count(); ++t) {
+      const auto& windows = windows_[t];
+      bool sorted = true;
+      for (std::size_t j = 1; j < windows.size() && sorted; ++j) {
+        sorted = windows[j - 1].release <= windows[j].release;
+      }
+      if (!sorted) continue;
+      auto& end_max = window_end_max_[t];
+      end_max.reserve(windows.size());
+      Time running = -std::numeric_limits<Time>::infinity();
+      for (const Window& w : windows) {
+        if (w.end > running) running = w.end;  // NaN ends never match.
+        end_max.push_back(running);
+      }
+    }
+  }
+
+  /// True when `task`'s windows ascend by release (index_windows).
+  bool windows_sorted(std::size_t task) const {
+    return window_end_max_[task].size() == windows_[task].size();
+  }
+
+  /// One past the last segment beginning at or before `t` (the
+  /// std::upper_bound position on segment begins).  `from` is an
+  /// earlier answer: when the begins are sorted and `t` has not moved
+  /// back before it, the search gallops forward from there, so a walk
+  /// over ascending instants costs the log of each gap, not of the
+  /// whole trace.
+  std::size_t segments_upto(Time t, std::size_t from) const {
+    const auto& segs = segments();
+    const auto after = [](Time v, const Segment& s) { return v < s.begin; };
+    if (!begins_sorted_) {  // A corrupt trace: bisect the whole trace.
+      return static_cast<std::size_t>(
+          std::upper_bound(segs.begin(), segs.end(), t, after) -
+          segs.begin());
+    }
+    if (from > 0 && t < segs[from - 1].begin) from = 0;
+    // Every segment before `lo` begins at or before t; `hi` is the end
+    // or a segment beginning after t.
+    std::size_t lo = from;
+    std::size_t hi = from;
+    for (std::size_t step = 1; hi < segs.size() && !after(t, segs[hi]);
+         step *= 2) {
+      lo = hi + 1;
+      hi = std::min(lo + step, segs.size());
+    }
+    const auto base = segs.begin();
+    return static_cast<std::size_t>(
+        std::upper_bound(base + static_cast<std::ptrdiff_t>(lo),
+                         base + static_cast<std::ptrdiff_t>(hi), t, after) -
+        base);
   }
 
   /// Trace work executed by `task` over [a, b].
@@ -201,17 +272,12 @@ class Auditor {
   /// Effective ratio at instant `t`: the interpolated value, maximized
   /// with the adjacent boundary ratios when `t` sits on (or within
   /// epsilon of) a segment boundary, so exact-boundary releases are not
-  /// penalized for landing on either side.
-  Ratio ratio_at(Time t) const {
+  /// penalized for landing on either side.  `upto` is
+  /// segments_upto(t, ...).
+  Ratio ratio_at(Time t, std::size_t upto) const {
     const auto& segs = segments();
     if (segs.empty()) return 0.0;
-    auto it = std::upper_bound(segs.begin(), segs.end(), t,
-                               [](Time v, const Segment& s) {
-                                 return v < s.begin;
-                               });
-    const std::size_t i = it == segs.begin()
-                              ? 0
-                              : static_cast<std::size_t>(it - segs.begin()) - 1;
+    const std::size_t i = upto == 0 ? 0 : upto - 1;
     const Segment& s = segs[i];
     const double slope =
         s.duration() > 0.0 ? (s.ratio_end - s.ratio_begin) / s.duration() : 0.0;
@@ -541,13 +607,42 @@ class Auditor {
   // ---- S: work conservation and release readiness -----------------------
 
   void check_work_conservation() {
+    // Each task's windows are one run; when every run is sorted by
+    // release (index_windows), merging the runs pairwise orders the
+    // whole set in O(n log tasks) instead of sorting it afresh.
     std::vector<Interval> pending;
-    for (const auto& task_windows : windows_) {
-      for (const Window& w : task_windows) {
+    std::vector<std::size_t> runs{0};
+    bool runs_sorted = true;
+    for (std::size_t t = 0; t < task_count(); ++t) {
+      for (const Window& w : windows_[t]) {
         pending.push_back({w.release, w.end});
       }
+      runs.push_back(pending.size());
+      runs_sorted = runs_sorted && windows_sorted(t);
     }
-    const std::vector<Interval> busy = merge_intervals(std::move(pending));
+    if (runs_sorted) {
+      const std::size_t k = runs.size() - 1;
+      const auto at = [&](std::size_t run) {
+        return pending.begin() + static_cast<std::ptrdiff_t>(runs[run]);
+      };
+      for (std::size_t width = 1; width < k; width *= 2) {
+        for (std::size_t i = 0; i + width < k; i += 2 * width) {
+          std::inplace_merge(at(i), at(i + width),
+                             at(std::min(i + 2 * width, k)), begins_before);
+        }
+      }
+    } else {
+      std::sort(pending.begin(), pending.end(), begins_before);
+    }
+    const std::vector<Interval> busy = merge_sorted_intervals(pending);
+    // Merged intervals end in increasing order; over a trace whose
+    // segment begins ascend too, the lookup below is a forward walk.
+    bool forward = begins_sorted_;
+    for (std::size_t c = 1; c < busy.size() && forward; ++c) {
+      forward = busy[c - 1].end < busy[c].end;
+    }
+    const auto ends_by = [](const Interval& i, Time t) { return i.end <= t; };
+    auto it = busy.begin();
     for (const Segment& s : segments()) {
       if (s.mode != ProcessorMode::kIdleBusyWait &&
           s.mode != ProcessorMode::kPowerDown &&
@@ -555,10 +650,11 @@ class Auditor {
         continue;
       }
       // First pending interval ending after the segment begins.
-      auto it = std::lower_bound(busy.begin(), busy.end(), s.begin,
-                                 [](const Interval& i, Time t) {
-                                   return i.end <= t;
-                                 });
+      if (forward) {
+        while (it != busy.end() && ends_by(*it, s.begin)) ++it;
+      } else {
+        it = std::lower_bound(busy.begin(), busy.end(), s.begin, ends_by);
+      }
       if (it == busy.end()) continue;
       const Time lo = std::max(s.begin, it->begin);
       const Time hi = std::min(s.end, it->end);
@@ -575,6 +671,8 @@ class Auditor {
   void check_releases() {
     const auto& segs = segments();
     for (std::size_t t = 0; t < task_count(); ++t) {
+      // One forward cursor per task: its releases ascend.
+      std::size_t upto = 0;
       for (const Window& w : windows_[t]) {
         const Time r = w.release;
         if (r <= options_.epsilon ||
@@ -587,12 +685,9 @@ class Auditor {
         if (options_.weakly_hard && is_skipped_release(t, r)) continue;
         // Never asleep across a release: the exact power-down timer
         // must have fired (wake-up *ends* at or before the release).
-        auto it = std::upper_bound(segs.begin(), segs.end(), r,
-                                   [](Time v, const Segment& s) {
-                                     return v < s.begin;
-                                   });
-        if (it != segs.begin()) {
-          const Segment& s = *(it - 1);
+        upto = segments_upto(r, upto);
+        if (upto > 0) {
+          const Segment& s = segs[upto - 1];
           const bool interior = r > s.begin + options_.epsilon &&
                                 r < s.end - options_.epsilon;
           if (interior && (s.mode == ProcessorMode::kPowerDown ||
@@ -604,7 +699,7 @@ class Auditor {
             continue;
           }
         }
-        const Ratio ratio = ratio_at(r);
+        const Ratio ratio = ratio_at(r, upto);
         if (ratio < options_.base_ratio - options_.ratio_epsilon) {
           add("S2.slow-at-release", r,
               tasks_[static_cast<TaskIndex>(t)].name + " released at " +
@@ -618,16 +713,36 @@ class Auditor {
 
   // ---- D: DVS slowdown plans --------------------------------------------
 
-  /// The window of `task` covering instant `t`, or nullptr.
+  /// The window of `task` covering instant `t`, or nullptr.  Later
+  /// windows win (they overlap only under misses).
   const Window* window_at(std::size_t task, Time t) const {
-    const Window* best = nullptr;
-    for (const Window& w : windows_[task]) {
-      if (w.release <= t + options_.epsilon &&
-          t <= w.end + options_.epsilon) {
-        best = &w;  // Later windows win (overlap only under misses).
+    const Time eps = options_.epsilon;
+    const auto covers = [&](const Window& w) {
+      return w.release <= t + eps && t <= w.end + eps;
+    };
+    const auto& windows = windows_[task];
+    if (!windows_sorted(task)) {  // A corrupt trace: scan them all.
+      const Window* best = nullptr;
+      for (const Window& w : windows) {
+        if (covers(w)) best = &w;
       }
+      return best;
     }
-    return best;
+    // Sorted by release: the windows released by t + eps are a prefix.
+    // Walk it backwards; once no window up to j ends late enough to
+    // reach t, none before j can cover t either.
+    auto j = static_cast<std::size_t>(
+        std::upper_bound(windows.begin(), windows.end(), t + eps,
+                         [](Time v, const Window& w) {
+                           return v < w.release;
+                         }) -
+        windows.begin());
+    const auto& end_max = window_end_max_[task];
+    while (j > 0 && t <= end_max[j - 1] + eps) {
+      --j;
+      if (covers(windows[j])) return &windows[j];
+    }
+    return nullptr;
   }
 
   void check_dvs_plans() {
@@ -1227,6 +1342,10 @@ class Auditor {
   std::vector<std::vector<Window>> windows_;
   std::vector<std::vector<std::size_t>> task_segments_;
   std::vector<std::vector<Time>> skipped_releases_;  ///< Sorted, per task.
+  /// Per task: running max of window ends when its windows are sorted
+  /// by release, else empty (see index_windows).
+  std::vector<std::vector<Time>> window_end_max_;
+  bool begins_sorted_ = true;  ///< Segment begins never decrease.
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "io/task_set_io.h"
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -39,10 +40,33 @@ bool parse_number(const std::string& token, double& out) {
   }
 }
 
+std::string show(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.15g", value);
+  return buffer;
+}
+
+/// 2^63: every finite double strictly inside (-2^63, 2^63) truncates to
+/// a representable std::int64_t.
+constexpr double kInt64Limit = 9223372036854775808.0;
+
+/// Rejects values no task field can hold: NaN, infinities and
+/// magnitudes outside std::int64_t (the integer time fields' type; WCET
+/// and BCET are bounded by the deadline, so the same range applies).
+void require_representable(double value, int line, const char* field) {
+  if (!std::isfinite(value)) {
+    fail(line, std::string(field) + " must be finite, got " + show(value));
+  }
+  if (std::fabs(value) >= kInt64Limit) {
+    fail(line, std::string(field) + " " + show(value) +
+                   " is outside the 64-bit integer time range");
+  }
+}
+
 std::int64_t to_time_integer(double value, int line, const char* field) {
   if (value <= 0.0 || value != std::floor(value)) {
     fail(line, std::string(field) + " must be a positive integer, got " +
-                   std::to_string(value));
+                   show(value));
   }
   return static_cast<std::int64_t>(value);
 }
@@ -117,10 +141,32 @@ sched::TaskSet parse_task_set(std::istream& in) {
       }
     }
 
+    // Every semantic rule make_task would assert is checked here first,
+    // so malformed files fail with a typed, line-numbered error.
+    require_representable(period, line_number, "period");
+    require_representable(wcet, line_number, "wcet");
+    require_representable(deadline, line_number, "deadline");
+    require_representable(bcet, line_number, "bcet");
+    require_representable(phase, line_number, "phase");
     if (period <= 0.0) fail(line_number, "period is required and positive");
     if (wcet <= 0.0) fail(line_number, "wcet is required and positive");
     if (deadline < 0.0) deadline = period;
     if (bcet < 0.0) bcet = wcet;
+    if (deadline > period) {
+      fail(line_number, "deadline " + show(deadline) + " exceeds period " +
+                            show(period) + " (deadlines must be D <= T)");
+    }
+    if (wcet > deadline) {
+      fail(line_number, "wcet " + show(wcet) + " exceeds deadline " +
+                            show(deadline));
+    }
+    if (bcet <= 0.0 || bcet > wcet) {
+      fail(line_number,
+           "bcet " + show(bcet) + " must lie in (0, wcet=" + show(wcet) + "]");
+    }
+    if (phase < 0.0) {
+      fail(line_number, "phase must be non-negative, got " + show(phase));
+    }
 
     try {
       tasks.add(sched::make_task(

@@ -6,8 +6,10 @@
 //     name  period  wcet  [deadline]  [bcet]  [phase]
 //
 // Times in microseconds; deadline defaults to the period, bcet to the
-// wcet, phase to 0.  Key=value pairs are also accepted after the name,
-// in any order:
+// wcet, phase to 0.  Every value must be finite and inside the 64-bit
+// integer range, with 0 < bcet <= wcet <= deadline <= period and
+// phase >= 0.  Key=value pairs are also accepted after the name, in any
+// order:
 //
 //     engine_ctl  period=5000 wcet=1200 bcet=400
 //

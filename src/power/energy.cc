@@ -21,45 +21,53 @@ void EnergyAccumulator::charge(sim::ProcessorMode mode, Time duration,
   ++slot.intervals;
 }
 
-void EnergyAccumulator::add_run(Time duration, Ratio ratio) {
-  charge(sim::ProcessorMode::kRunning, duration,
-         duration * model_->run_power(ratio));
+Energy EnergyAccumulator::add_run(Time duration, Ratio ratio) {
+  const Energy energy = duration * model_->run_power(ratio);
+  charge(sim::ProcessorMode::kRunning, duration, energy);
+  return energy;
 }
 
-void EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to,
-                                     double rho) {
+Energy EnergyAccumulator::add_run_ramp(Time duration, Ratio from, Ratio to,
+                                       double rho) {
   LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
                            1e-6 + duration * 1e-9));
-  charge(sim::ProcessorMode::kRunning, duration,
-         model_->ramp_energy(from, to, rho, /*executing=*/true));
+  const Energy energy = model_->ramp_energy(from, to, rho, /*executing=*/true);
+  charge(sim::ProcessorMode::kRunning, duration, energy);
+  return energy;
 }
 
-void EnergyAccumulator::add_idle_nop(Time duration, Ratio ratio) {
-  charge(sim::ProcessorMode::kIdleBusyWait, duration,
-         duration * model_->idle_nop_power(ratio));
+Energy EnergyAccumulator::add_idle_nop(Time duration, Ratio ratio) {
+  const Energy energy = duration * model_->idle_nop_power(ratio);
+  charge(sim::ProcessorMode::kIdleBusyWait, duration, energy);
+  return energy;
 }
 
-void EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to,
-                                      double rho) {
+Energy EnergyAccumulator::add_idle_ramp(Time duration, Ratio from, Ratio to,
+                                        double rho) {
   LPFPS_CHECK(approx_equal(duration, ramp_duration(from, to, rho),
                            1e-6 + duration * 1e-9));
-  charge(sim::ProcessorMode::kRamping, duration,
-         model_->ramp_energy(from, to, rho, /*executing=*/false));
+  const Energy energy =
+      model_->ramp_energy(from, to, rho, /*executing=*/false);
+  charge(sim::ProcessorMode::kRamping, duration, energy);
+  return energy;
 }
 
-void EnergyAccumulator::add_power_down(Time duration) {
-  add_power_down(duration, model_->power_down_power());
+Energy EnergyAccumulator::add_power_down(Time duration) {
+  return add_power_down(duration, model_->power_down_power());
 }
 
-void EnergyAccumulator::add_power_down(Time duration,
-                                       double power_fraction) {
+Energy EnergyAccumulator::add_power_down(Time duration,
+                                         double power_fraction) {
   LPFPS_CHECK(power_fraction >= 0.0 && power_fraction <= 1.0);
-  charge(sim::ProcessorMode::kPowerDown, duration,
-         duration * power_fraction);
+  const Energy energy = duration * power_fraction;
+  charge(sim::ProcessorMode::kPowerDown, duration, energy);
+  return energy;
 }
 
-void EnergyAccumulator::add_wakeup(Time duration) {
-  charge(sim::ProcessorMode::kWakeUp, duration, duration * 1.0);
+Energy EnergyAccumulator::add_wakeup(Time duration) {
+  const Energy energy = duration * 1.0;
+  charge(sim::ProcessorMode::kWakeUp, duration, energy);
+  return energy;
 }
 
 Energy EnergyAccumulator::total_energy() const {

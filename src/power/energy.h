@@ -29,28 +29,32 @@ class EnergyAccumulator {
  public:
   explicit EnergyAccumulator(const PowerModel* model);
 
+  // Each add_* returns the energy it computed, so callers that also book
+  // it elsewhere (per-task totals, the cycle template) never evaluate the
+  // power model a second time.
+
   /// Task execution at constant speed.
-  void add_run(Time duration, Ratio ratio);
+  Energy add_run(Time duration, Ratio ratio);
 
   /// Task execution during a frequency/voltage ramp (linear in time).
-  void add_run_ramp(Time duration, Ratio from, Ratio to, double rho);
+  Energy add_run_ramp(Time duration, Ratio from, Ratio to, double rho);
 
   /// Busy-wait NOP idling at constant speed.
-  void add_idle_nop(Time duration, Ratio ratio);
+  Energy add_idle_nop(Time duration, Ratio ratio);
 
   /// Ramp with nothing to execute (the processor spins NOPs while the
   /// voltage settles).
-  void add_idle_ramp(Time duration, Ratio from, Ratio to, double rho);
+  Energy add_idle_ramp(Time duration, Ratio from, Ratio to, double rho);
 
   /// Power-down residence at the model's default power-down fraction.
-  void add_power_down(Time duration);
+  Energy add_power_down(Time duration);
 
   /// Power-down residence in a specific sleep state (fraction of full
   /// power); used with sleep-state hierarchies.
-  void add_power_down(Time duration, double power_fraction);
+  Energy add_power_down(Time duration, double power_fraction);
 
   /// Wake-up transition (full power, no useful work).
-  void add_wakeup(Time duration);
+  Energy add_wakeup(Time duration);
 
   /// Re-charges an interval whose energy a previous add_* call already
   /// computed (the engine's steady-state replay).  Identical guard and

@@ -9,7 +9,15 @@
 //     takes 10 clock cycles [9, 19];
 //   * the clock/voltage transition follows the ring-oscillator model of
 //     [20] with a worst-case delay of ~10 us (rate rho = 0.07 / us).
+//
+// A PowerModel memoizes ramp energies, so it is one-per-owner: every
+// SimState and every audit run builds its own, and an instance is never
+// shared across threads.  Copies carry their own table.
 #pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/units.h"
 #include "power/voltage.h"
@@ -53,7 +61,11 @@ class PowerModel {
   /// per microsecond).  `executing` selects run power (a task computes
   /// through the transition) vs NOP power (nothing to run).  Integrated
   /// numerically because V(ratio) has no convenient antiderivative for
-  /// the ring-oscillator model.
+  /// the ring-oscillator model.  Memoized on the exact bits of the
+  /// arguments in a small direct-mapped table: a miss runs the
+  /// integration, a hit returns the value that integration produced, so
+  /// the result never depends on the table's contents.  Not thread-safe
+  /// (the table is mutable state).
   Energy ramp_energy(Ratio r0, Ratio r1, double rho, bool executing) const;
 
   /// Time to return from power-down, in microseconds, at f_max (MHz).
@@ -63,8 +75,26 @@ class PowerModel {
   const VoltageModel& voltage() const { return *voltage_; }
 
  private:
+  /// One memoized ramp.  `rho_key` is rho's bit pattern with the
+  /// `executing` flag in the sign bit (rho > 0, so the bit is free); a
+  /// zero key never matches a query, which marks the slot empty.
+  struct RampMemoEntry {
+    std::uint64_t r0 = 0;
+    std::uint64_t r1 = 0;
+    std::uint64_t rho_key = 0;
+    Energy energy = 0.0;
+  };
+  /// 128 slots (4 KiB) keep the table small beside a fleet lane's state
+  /// while catching the repeating down/up ramps of periodic schedules.
+  static constexpr int kRampMemoBits = 7;
+  static constexpr std::size_t kRampMemoSlots = std::size_t{1}
+                                                << kRampMemoBits;
+
+  Energy integrate_ramp(Ratio r0, Ratio r1, double rho, bool executing) const;
+
   VoltageModelPtr voltage_;
   PowerParams params_;
+  mutable std::array<RampMemoEntry, kRampMemoSlots> ramp_memo_{};
 };
 
 }  // namespace lpfps::power

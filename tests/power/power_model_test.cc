@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "power/processor.h"
 
 namespace lpfps::power {
@@ -72,6 +77,108 @@ TEST(PowerModel, HalfSpeedBeatsFullSpeedPerUnitWork) {
   const double full = model.run_power(1.0) / 1.0;
   const double half = model.run_power(0.5) / 0.5;
   EXPECT_LT(half, full);
+}
+
+// ---- ramp-energy memo ---------------------------------------------------
+
+struct RampKey {
+  Ratio r0;
+  Ratio r1;
+  double rho;
+  bool executing;
+};
+
+/// Many more keys than the memo has slots (so every slot is evicted and
+/// refilled), with neighbours one ulp apart that must never alias.
+std::vector<RampKey> ramp_key_grid() {
+  const Ratio ratios[] = {0.08, 0.1, 0.3, 0.5, std::nextafter(0.5, 1.0),
+                          0.7, std::nextafter(1.0, 0.0), 1.0};
+  const double rhos[] = {0.07, std::nextafter(0.07, 1.0), 0.0035, 7.0};
+  std::vector<RampKey> keys;
+  for (const double rho : rhos) {
+    for (const Ratio r0 : ratios) {
+      for (const Ratio r1 : ratios) {
+        keys.push_back({r0, r1, rho, true});
+        keys.push_back({r0, r1, rho, false});
+      }
+    }
+  }
+  return keys;
+}
+
+/// A fresh model's first evaluation: always the integration itself.
+Energy cold_ramp_energy(const RampKey& k) {
+  return paper_model().ramp_energy(k.r0, k.r1, k.rho, k.executing);
+}
+
+bool same_bits(Energy a, Energy b) {
+  return std::memcmp(&a, &b, sizeof(Energy)) == 0;
+}
+
+TEST(PowerModelMemo, RepeatsAndCollisionsAreBitIdenticalToColdEvaluation) {
+  const std::vector<RampKey> keys = ramp_key_grid();
+  ASSERT_GT(keys.size(), 256u);
+  std::vector<Energy> cold;
+  for (const RampKey& k : keys) cold.push_back(cold_ramp_energy(k));
+
+  const PowerModel model = paper_model();
+  // Forward, backward, then forward twice more: every order of
+  // evictions and repeats must return the cold value exactly.
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::size_t n = 0; n < keys.size(); ++n) {
+      const std::size_t i = pass == 1 ? keys.size() - 1 - n : n;
+      const RampKey& k = keys[i];
+      const Energy hot = model.ramp_energy(k.r0, k.r1, k.rho, k.executing);
+      ASSERT_TRUE(same_bits(hot, cold[i]))
+          << "pass " << pass << " key " << i << ": " << hot << " vs "
+          << cold[i];
+      // An immediate repeat is a guaranteed hit.
+      ASSERT_TRUE(same_bits(
+          model.ramp_energy(k.r0, k.r1, k.rho, k.executing), cold[i]));
+    }
+  }
+}
+
+/// Counts the voltage evaluations behind each power_factor call, so a
+/// test can see whether ramp_energy integrated or hit the memo.
+class CountingVoltageModel final : public VoltageModel {
+ public:
+  Volts voltage_for_ratio(Ratio ratio) const override {
+    ++calls;
+    return inner_.voltage_for_ratio(ratio);
+  }
+  Volts v_max() const override { return inner_.v_max(); }
+
+  mutable long calls = 0;
+
+ private:
+  RingOscillatorVoltageModel inner_;
+};
+
+TEST(PowerModelMemo, CopiesOwnTheirTable) {
+  const auto voltage = std::make_shared<CountingVoltageModel>();
+  const PowerModel original(voltage, PowerParams{});
+  const auto integrations = [&](const PowerModel& model, Ratio r0, Ratio r1) {
+    const long before = voltage->calls;
+    const Energy energy = model.ramp_energy(r0, r1, 0.07, true);
+    const long used = voltage->calls - before;
+    const PowerModel fresh(voltage, PowerParams{});
+    EXPECT_TRUE(same_bits(energy, fresh.ramp_energy(r0, r1, 0.07, true)));
+    return used;
+  };
+
+  ASSERT_GT(integrations(original, 0.5, 1.0), 0);
+  EXPECT_EQ(integrations(original, 0.5, 1.0), 0);  // Memo hit.
+
+  PowerModel copy = original;
+  EXPECT_EQ(integrations(copy, 0.5, 1.0), 0);  // The copy inherited it.
+  // Flood the copy's table: its entries churn, the original's do not.
+  for (const RampKey& k : ramp_key_grid()) {
+    copy.ramp_energy(k.r0, k.r1, k.rho, k.executing);
+  }
+  EXPECT_GT(integrations(copy, 0.2, 0.9), 0);
+  EXPECT_GT(integrations(original, 0.2, 0.9), 0);  // Not shared.
+  EXPECT_EQ(integrations(original, 0.5, 1.0), 0);  // Not corrupted.
 }
 
 TEST(ProcessorConfig, DefaultsMatchPaperSection4) {
