@@ -10,13 +10,10 @@
 // section runs the deterministic (WCET) model over 12 hyperperiods with
 // steady-state cycle detection on and off, so the fast-forward speedup
 // is tracked — and gated — like any other throughput number.  A fifth
-// section measures the batched fleet engine (docs/FLEET.md): aggregate
-// events/sec across a pool of small UUniFast sims at batch widths
-// 1/64/256/1024, where width 1 is the serial core::simulate-per-spec
-// status quo — the scaling claim the fleet is gated on.  A sixth
-// section isolates lane-block scheduling: wide widths flat
-// (lane_block=0) versus blocked (lane_block=64), gated on
-// width-1024-blocked staying within 15% of the section peak.
+// section measures the fleet engine (docs/FLEET.md): aggregate
+// events/sec across a pool of small UUniFast sims, run once as a serial
+// core::simulate-per-spec loop (the status quo) and once through one
+// FleetEngine reusing its lane — the speedup the fleet is gated on.
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
@@ -383,17 +380,15 @@ int main() {
                 static_cast<long long>(cycle.cycles_detected));
   }
 
-  // ---- Section 5: batched fleet aggregate (docs/FLEET.md). -------------
+  // ---- Section 5: fleet aggregate (docs/FLEET.md). ---------------------
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
-  // where per-sim fixed cost (engine copies, buffer allocation) rivals
-  // the event work — run at increasing batch widths.  Width 1 is the
-  // serial status quo (core::simulate per spec, fresh engine and
-  // buffers each time); widths >= 2 advance a lane pool in lockstep,
-  // paying construction once and rebinding lanes thereafter.  Results
-  // are bit-identical at every width, so events/run is constant and the
-  // events/sec column isolates the dispatch overhead the fleet
-  // amortizes.  The width-256 point carries the >= 2x scaling claim and
-  // is perf-gated like every other row.
+  // where per-sim fixed cost (engine copies, buffer allocation, RNG
+  // seeding) rivals the event work.  "serial" runs core::simulate per
+  // spec (fresh engine and buffers each time); "lanes" runs the pool
+  // through one FleetEngine, paying construction once and rebinding its
+  // lane thereafter.  Results are bit-identical, so events/run is
+  // constant and the events/sec column isolates the setup cost the
+  // fleet amortizes.  Both rows are perf-gated like every other row.
   {
     const std::size_t kFleetSims = 1024;
     std::vector<fleet::SimSpec> specs;
@@ -423,70 +418,36 @@ int main() {
       // numbers to verified schedules, like every other section.
       (void)audit::simulate_fleet(specs, fleet::FleetOptions{}, &agg);
     }
-    double width1_events_per_sec = 0.0;
-    double width256_events_per_sec = 0.0;
-    for (const std::size_t width :
-         {std::size_t{1}, std::size_t{64}, std::size_t{256},
-          std::size_t{1024}}) {
-      fleet::FleetEngine engine(fleet::FleetOptions{width, 0.0});
-      for (const fleet::SimSpec& spec : specs) engine.add(spec);
-      const Throughput t = measure([&engine] {
-        std::int64_t events = 0;
-        for (const core::SimulationResult& result : engine.run_all()) {
-          events += result.scheduler_invocations;
-        }
-        return events;
-      });
-      const std::string name = "width-" + std::to_string(width);
-      print_row("fleet", name, "fps+lpfps", t, {});
-      add_point(json, "fleet", name, "fps+lpfps", t, {});
-      if (width == 1) width1_events_per_sec = t.events_per_sec();
-      if (width == 256) width256_events_per_sec = t.events_per_sec();
-    }
-    std::printf("%-12s %-16s batch speedup x%.2f (width 256 vs 1, %zu sims)\n",
+    const auto serial = [&specs] {
+      std::int64_t events = 0;
+      for (const fleet::SimSpec& spec : specs) {
+        events += core::simulate(spec.tasks, spec.processor, spec.policy,
+                                 spec.exec_model, spec.options)
+                      .scheduler_invocations;
+      }
+      return events;
+    };
+    fleet::FleetEngine engine;
+    for (const fleet::SimSpec& spec : specs) engine.add(spec);
+    const auto lanes = [&engine] {
+      std::int64_t events = 0;
+      for (const core::SimulationResult& result : engine.run_all()) {
+        events += result.scheduler_invocations;
+      }
+      return events;
+    };
+    const Throughput serial_t = measure(serial);
+    const Throughput lanes_t = measure(lanes);
+    print_row("fleet", "serial", "fps+lpfps", serial_t, {});
+    add_point(json, "fleet", "serial", "fps+lpfps", serial_t, {});
+    print_row("fleet", "lanes", "fps+lpfps", lanes_t, {});
+    add_point(json, "fleet", "lanes", "fps+lpfps", lanes_t, {});
+    std::printf("%-12s %-16s lane speedup x%.2f (lanes vs serial, %zu sims)\n",
                 "fleet", "scaling",
-                width1_events_per_sec > 0.0
-                    ? width256_events_per_sec / width1_events_per_sec
+                serial_t.events_per_sec() > 0.0
+                    ? lanes_t.events_per_sec() / serial_t.events_per_sec()
                     : 0.0,
                 kFleetSims);
-
-    // ---- Section 6: lane-block scheduling (docs/FLEET.md). -------------
-    // The same spec pool at wide batch widths, flat (lane_block = 0,
-    // the whole batch one block — the pre-blocking behavior) versus
-    // blocked (lane_block = 64, the default): blocking keeps the live
-    // working set cache-resident, so wide widths should recover to near
-    // the width-64 sweet spot instead of streaming lanes from memory.
-    // The width-64 row is the in-section reference; CI gates
-    // "width-1024-blocked >= 0.85 x the section max" via
-    // check_perf_regression.py --min-ratio.
-    struct BlockPoint {
-      const char* name;
-      std::size_t width;
-      std::size_t lane_block;
-    };
-    const BlockPoint block_points[] = {
-        {"width-64", 64, 64},
-        {"width-256-flat", 256, 0},
-        {"width-256-blocked", 256, 64},
-        {"width-1024-flat", 1024, 0},
-        {"width-1024-blocked", 1024, 64},
-    };
-    for (const BlockPoint& point : block_points) {
-      fleet::FleetOptions fleet_options;
-      fleet_options.batch_width = point.width;
-      fleet_options.lane_block = point.lane_block;
-      fleet::FleetEngine engine(fleet_options);
-      for (const fleet::SimSpec& spec : specs) engine.add(spec);
-      const Throughput t = measure([&engine] {
-        std::int64_t events = 0;
-        for (const core::SimulationResult& result : engine.run_all()) {
-          events += result.scheduler_invocations;
-        }
-        return events;
-      });
-      print_row("fleet_block", point.name, "fps+lpfps", t, {});
-      add_point(json, "fleet_block", point.name, "fps+lpfps", t, {});
-    }
   }
 
   if (audit::enabled()) {

@@ -22,18 +22,8 @@ point to BOTH files; otherwise the check fails.  This keeps a bench
 section honest: if it silently stops emitting points (or the baseline
 was refreshed without it), the gate trips instead of shrinking.
 
---min-ratio SECTION KEY RATIO asserts a *within-run* relation: the
-current file's point named KEY in SECTION must run at at least RATIO
-times the fastest events_per_sec of that section in the same file.
-Unlike the baseline comparison this is machine-independent (both sides
-come from one run on one machine), so it can gate shape claims like
-"width-1024 blocked stays within 15% of the width-64 peak"
-(--min-ratio fleet_block width-1024-blocked 0.85) at full strictness.
-KEY matches the point's name; the policy column is ignored.
-
 Usage: check_perf_regression.py CURRENT BASELINE [--tolerance 0.25]
            [--latency-tolerance 0.25] [--require-section NAME]...
-           [--min-ratio SECTION KEY RATIO]...
 """
 
 import argparse
@@ -80,12 +70,6 @@ def main():
                         metavar="NAME",
                         help="fail unless this section has points in both "
                              "files (repeatable)")
-    parser.add_argument("--min-ratio", action="append", default=[],
-                        nargs=3, metavar=("SECTION", "KEY", "RATIO"),
-                        help="fail unless the current point named KEY in "
-                             "SECTION reaches RATIO x the section's fastest "
-                             "events_per_sec in the current file "
-                             "(repeatable)")
     args = parser.parse_args()
 
     current = load_points(args.current)
@@ -131,37 +115,6 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print(f"new  {'/'.join(key):60} {current[key]['eps']:14.0f} ev/s "
               "(not in baseline)")
-
-    for section, name, ratio_text in args.min_ratio:
-        try:
-            ratio = float(ratio_text)
-        except ValueError:
-            sys.exit(f"error: --min-ratio {section} {name}: "
-                     f"'{ratio_text}' is not a number")
-        section_eps = {key: point["eps"] for key, point in current.items()
-                       if key[0] == section}
-        if not section_eps:
-            failures.append(f"--min-ratio: section '{section}' has no "
-                            f"points in current file {args.current}")
-            continue
-        targets = [eps for key, eps in section_eps.items()
-                   if key[1] == name]
-        if not targets:
-            failures.append(f"--min-ratio: no point named '{name}' in "
-                            f"section '{section}' of current file "
-                            f"{args.current}")
-            continue
-        peak = max(section_eps.values())
-        floor = peak * ratio
-        cur_eps = min(targets)
-        status = "FAIL" if cur_eps < floor else "ok"
-        print(f"{status:4} {section}/{name:54} {cur_eps:14.0f} ev/s "
-              f"(section peak {peak:14.0f}, x{cur_eps / peak:.2f} "
-              f">= {ratio:.2f} required)")
-        if cur_eps < floor:
-            failures.append(
-                f"{section}/{name}: {cur_eps:.0f} ev/s < {floor:.0f} "
-                f"({ratio:.0%} of section peak {peak:.0f})")
 
     if failures:
         print(f"\n{len(failures)} perf regression(s) beyond "

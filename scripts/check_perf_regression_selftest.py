@@ -148,26 +148,6 @@ def main():
                  [extra, base, "--require-section", "new"], 1,
                  "no points in baseline")
 
-        # --min-ratio: a within-run shape assertion.
-        shaped = h.write("shaped", bench([
-            point("adm", "churn-25", "incremental", 1000.0, p99=50.0),
-            point("adm", "churn-25", "scratch", 400.0, p99=120.0),
-        ]))
-        h.expect("min-ratio satisfied passes",
-                 [shaped, base, "--min-ratio", "adm", "churn-25", "0.4"], 0)
-        h.expect("min-ratio violated fails",
-                 [shaped, base, "--min-ratio", "adm", "churn-25", "0.5"], 1,
-                 "of section peak")
-        h.expect("min-ratio over unknown section fails",
-                 [shaped, base, "--min-ratio", "ghost", "churn-25", "0.5"],
-                 1, "has no")
-        h.expect("min-ratio over unknown point name fails",
-                 [shaped, base, "--min-ratio", "adm", "ghost", "0.5"], 1,
-                 "no point named")
-        h.expect("min-ratio with non-numeric ratio is rejected",
-                 [shaped, base, "--min-ratio", "adm", "churn-25", "fast"],
-                 1, "not a number")
-
         if h.failures:
             print(f"\n{len(h.failures)}/{h.cases} self-test case(s) failed:",
                   file=sys.stderr)

@@ -7,10 +7,10 @@
 
 namespace lpfps::core {
 
-// The engine main loop lives in core::SimState (sim_state.cc): the loop
-// was opened up into begin/step/finish so the fleet engine can
-// interleave many simulations, and Engine::run delegates to the very
-// same code — one implementation, two drivers, bit-identical results.
+// The engine main loop lives in core::SimState (sim_state.cc) so the
+// fleet engine can reuse one state across many simulations; Engine::run
+// delegates to the very same code — one implementation, two drivers,
+// bit-identical results.
 
 Engine::Engine(sched::TaskSet tasks, power::ProcessorConfig processor,
                SchedulerPolicy policy, exec::ExecModelPtr exec_model)

@@ -160,7 +160,7 @@ class Engine {
 };
 
 /// The LPFPS_CYCLE runtime gate: false iff the environment variable is
-/// set to 0/off/false.  The engine re-reads it at every begin(); this
+/// set to 0/off/false.  The engine re-reads it at every run; this
 /// accessor lets a caller hoist one read for a whole section of work
 /// (bake the verdict into EngineOptions::cycle_detection) so runs
 /// started at different times cannot disagree about the gate mid-bench.

@@ -1,6 +1,6 @@
 // Method bodies of core::SimState — the engine main loop, moved here
-// verbatim from engine.cc when the loop was opened up for the fleet
-// engine (see sim_state.h for the contract).  Engine::run delegates to
+// verbatim from engine.cc so the fleet engine can reuse one state across
+// simulations (see sim_state.h for the contract).  Engine::run delegates to
 // SimState::run, so this file *is* the reference simulation semantics.
 #include "core/sim_state.h"
 
@@ -268,23 +268,6 @@ void SimState::reset(const sched::TaskSet& tasks,
   stalled_iterations_ = 0;
 }
 
-sim::ProcessorMode SimState::mode_now() const {
-  switch (state_) {
-    case CpuState::kRunning:
-      return sim::ProcessorMode::kRunning;
-    case CpuState::kPowerDown:
-      return sim::ProcessorMode::kPowerDown;
-    case CpuState::kWakeUp:
-      return sim::ProcessorMode::kWakeUp;
-    case CpuState::kIdle:
-      break;
-  }
-  // Idle splits exactly like advance_to's segment attribution: a ramp in
-  // flight is kRamping, a settled clock busy-waits.
-  return ratio_ != ramp_target_ ? sim::ProcessorMode::kRamping
-                                : sim::ProcessorMode::kIdleBusyWait;
-}
-
 void SimState::start_job(TaskIndex index) {
   JobState& state = job(index);
   auto& instance = next_instance_[static_cast<std::size_t>(index)];
@@ -495,6 +478,10 @@ void SimState::try_slowdown() {
 void SimState::enter_power_down() {
   LPFPS_CHECK(state_ == CpuState::kIdle && active_ == kNoTask);
   LPFPS_CHECK(approx_equal(ratio_, base_ratio_, 1e-12));
+  // A power-down entered at the horizon instant records no segment
+  // before the run ends, so counting it would leave power_downs one
+  // above the trace (audit C2).
+  if (!tp_definitely_less(now_, horizon_)) return;
   // Safe mode runs plain FPS: no power-down until the episode ends at
   // the next idle instant.  The idle branch clears the flag before the
   // idle-policy switch, so this guard is belt-and-braces for the
@@ -1259,9 +1246,9 @@ void SimState::begin(const SpecPrep* prep) {
   setup_cycle_detection(prep);
   invoke_scheduler();
 
-  // Loop bookkeeping the old run() kept in locals.  horizon_ flips
-  // finished() live: before begin() it is kNeverPoint, so finished() is
-  // false and callers cannot skip the prologue.
+  // Loop bookkeeping the old run() kept in locals.  horizon_ stays
+  // kNeverPoint until here, so the initial invocation above sees an
+  // open-ended run.
   horizon_ = at(options_->horizon);
   last_now_ = TimePoint{-1.0, 0.0};
   stalled_iterations_ = 0;
@@ -1559,8 +1546,8 @@ SimulationResult SimState::finish() {
   return result;
 }
 
-SimulationResult SimState::run() {
-  begin();
+SimulationResult SimState::run(const SpecPrep* prep) {
+  begin(prep);
   while (!finished()) step();
   return finish();
 }

@@ -1,41 +1,27 @@
-// Stepwise simulation state — the engine's main loop, opened up.
+// Simulation state — the engine's main loop as a reusable object.
 //
-// core::Engine::run is a closed box: construct, run to the horizon,
-// return the result.  SimState is the same machinery (it *is* the
-// engine's former internal Simulation class, verbatim) exposed as an
-// incremental state machine so callers that interleave many independent
-// simulations — the fleet engine in src/fleet/ — can drive each one
-// event by event:
-//
-//   SimState sim(tasks, cpu, policy, exec, options);
-//   sim.begin();                       // validate, seed queues, L1 entry
-//   while (!sim.finished()) sim.step() // one event-loop iteration
-//   SimulationResult r = sim.finish(); // totals check + result assembly
-//
-// run() performs exactly that sequence, and Engine::run delegates to it,
-// so the serial path and any stepwise driver execute the *identical*
-// arithmetic in the identical order: a stepwise run is bit-identical to
-// Engine::run by construction, not by testing alone (the differential
-// suite in tests/fleet/ pins it anyway).
+// SimState is the engine's former internal Simulation class, verbatim:
+// Engine::run constructs one and calls run(), which validates the spec,
+// seeds the queues, loops event by event to the horizon and assembles
+// the result.  Engine::run delegates here, so this class *is* the
+// reference simulation semantics.
 //
 // reset() rebinds an existing SimState to a new simulation while
 // retaining every internal buffer's capacity (queues, job tables,
 // per-task totals).  A reset state is bit-identical to a freshly
-// constructed one — the mt19937 reseed, the cleared queues, and the
-// re-derived fault wiring reproduce the constructor exactly — which is
-// what lets the fleet engine reuse a fixed pool of lanes across
-// thousands of simulations without paying the allocation and setup cost
-// per sim (docs/FLEET.md quantifies that cost).
+// constructed one — the mt19937 reseed, the cleared queues, and
+// the re-derived fault wiring reproduce the constructor exactly — which
+// is what lets the fleet engine (src/fleet/) run thousands of
+// simulations on one reused lane without paying the allocation and
+// setup cost per sim (docs/FLEET.md quantifies that cost).  The
+// differential suite in tests/fleet/ pins reset-then-run against a
+// fresh core::simulate byte for byte.
 //
 // Lifetime: SimState borrows `tasks`, `processor`, `policy` and
 // `options` (it stores pointers); they must outlive the run.  The
 // execution model is shared by shared_ptr.  Engine::run and
 // fleet::FleetEngine both satisfy this by keeping the spec alive for
 // the duration.
-//
-// The hot accessors (clock / mode_now / ratio_now / invocations /
-// energy_now) exist for the fleet's structure-of-arrays mirrors: they
-// are O(1) reads of scalar state, safe between any two steps.
 #pragma once
 
 #include <cstdint>
@@ -247,10 +233,10 @@ struct CounterSnapshot {
 
 }  // namespace detail
 
-/// The full mutable state of one simulation plus the engine main loop,
-/// decomposed into begin / step / finish (see the file comment for the
-/// contract).  Engine::run builds one of these per call; the fleet
-/// engine keeps a pool of them and reset()s each lane between sims.
+/// The full mutable state of one simulation plus the engine main loop
+/// (see the file comment for the contract).  Engine::run builds one of
+/// these per call; the fleet engine keeps one and reset()s it between
+/// sims.
 class SimState {
  public:
   /// `tasks` must validate (unique priorities assigned).  `exec_model`
@@ -282,16 +268,16 @@ class SimState {
   /// Per-spec work that is a pure function of the (immutable) spec: the
   /// validation verdict and the cycle-eligibility probe (hyperperiod
   /// LCM included).  The fleet computes one of these per spec at add()
-  /// time and passes it back on every rebind, so lanes skip the
-  /// redundant re-checks; begin(nullptr) — the serial path — recomputes
+  /// time and passes it back on every run, so a rebound lane skips the
+  /// redundant re-checks; run(nullptr) — the serial path — recomputes
   /// both, bit-identically (neither influences any simulated value,
-  /// only whether begin() throws and whether the detector arms).
+  /// only whether run() throws and whether the detector arms).
   struct SpecPrep {
     bool cycle_eligible = false;   ///< Passed every spec-fixed gate.
     std::int64_t hyperperiod = 0;  ///< Cycle length; valid when eligible.
   };
 
-  /// Validates the spec exactly as begin() would (same checks, same
+  /// Validates the spec exactly as run() would (same checks, same
   /// exceptions) and probes cycle eligibility.
   static SpecPrep prepare(const sched::TaskSet& tasks,
                           const power::ProcessorConfig& processor,
@@ -299,45 +285,33 @@ class SimState {
                           const exec::ExecModelPtr& exec_model,
                           const EngineOptions& options);
 
-  /// Validates inputs, seeds the delay queue, arms cycle detection, and
-  /// performs the initial scheduler invocation (the prologue of the old
-  /// Engine::run).  Must be called exactly once before step().  With a
-  /// `prep` (from prepare() on the same spec), validation and the
-  /// eligibility probe are skipped; only the runtime LPFPS_CYCLE gate is
-  /// re-read.
-  void begin(const SpecPrep* prep = nullptr);
+  /// Runs the simulation to the horizon and returns its result — the
+  /// exact semantics of Engine::run (which delegates here).  Call once
+  /// per construction or reset().  With a `prep` (from prepare() on the
+  /// same spec), validation and the eligibility probe are skipped; only
+  /// the runtime LPFPS_CYCLE gate is re-read.
+  SimulationResult run(const SpecPrep* prep = nullptr);
 
-  /// True once the clock has reached the horizon; finish() may be called.
+ private:
+  // --- the main loop: begin, step until finished, finish ----------------
+  /// Validates inputs (unless `prep` is given), seeds the delay queue,
+  /// arms cycle detection, and performs the initial scheduler
+  /// invocation.
+  void begin(const SpecPrep* prep);
+
+  /// True once the clock has reached the horizon.
   bool finished() const {
     return !detail::tp_definitely_less(now_, horizon_);
   }
 
   /// One iteration of the engine event loop: settle sub-resolution
   /// transitions, gather candidate boundaries, advance time, fire every
-  /// handler now due.  Precondition: begin() was called, !finished().
+  /// handler now due.
   void step();
 
   /// Checks the accounted-time invariant and assembles the result.
-  /// Call exactly once, after finished() turns true.
   SimulationResult finish();
 
-  /// begin + step-to-horizon + finish, the exact serial semantics of
-  /// Engine::run (which delegates here).
-  SimulationResult run();
-
-  // --- hot scalar mirrors for the fleet's SoA arrays -----------------
-  /// Current simulated instant (absolute microseconds).
-  Time clock() const { return now_.absolute(); }
-  /// Current processor mode, mapped exactly like trace segments are.
-  sim::ProcessorMode mode_now() const;
-  /// Current speed ratio.
-  Ratio ratio_now() const { return ratio_; }
-  /// Scheduler invocations so far — the engine's "event" unit.
-  std::int64_t invocations() const { return scheduler_invocations_; }
-  /// Energy accumulated so far.
-  Energy energy_now() const { return accumulator_->total_energy(); }
-
- private:
   // --- scheduling machinery -------------------------------------------
   void start_job(TaskIndex task);
   void invoke_scheduler();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -13,6 +12,8 @@
 namespace lpfps::fleet {
 
 namespace {
+
+using Outcomes = std::vector<runner::JobOutcome<core::SimulationResult>>;
 
 /// Error text for an exception_ptr, matching run_batch_isolated's
 /// wording so fleet and runner outcomes read identically.
@@ -27,6 +28,56 @@ std::string describe(const std::exception_ptr& error) {
   }
 }
 
+/// Unwraps outcomes into results, rethrowing the lowest-index failure
+/// with its original exception type (run_batch semantics).
+std::vector<core::SimulationResult> results_or_rethrow(
+    Outcomes outcomes, const std::vector<std::exception_ptr>& errors) {
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::vector<core::SimulationResult> results;
+  results.reserve(outcomes.size());
+  for (auto& outcome : outcomes) {
+    LPFPS_CHECK(outcome.ok());
+    results.push_back(std::move(*outcome.result));
+  }
+  return results;
+}
+
+/// Runs `specs` as contiguous shards, one FleetEngine each: shard k
+/// owns specs [k * chunk, (k + 1) * chunk), a pure function of (spec
+/// count, thread count).  A single shard runs on the calling thread.
+/// Returns outcomes in spec order; `errors` receives their exceptions.
+Outcomes run_shards(std::vector<SimSpec>& specs, const FleetOptions& options,
+                    std::size_t threads,
+                    std::vector<std::exception_ptr>& errors) {
+  if (threads == 0) threads = runner::default_job_count();
+  const std::size_t shards =
+      std::max<std::size_t>(std::min(threads, specs.size()), 1);
+  const std::size_t chunk = (specs.size() + shards - 1) / shards;
+  // run_outcomes never throws, as run_batch jobs must not.  Moving
+  // from the shared spec vector is safe: shards own disjoint ranges.
+  auto run_shard = [&](std::size_t shard) {
+    FleetEngine engine(options);
+    const std::size_t begin = shard * chunk;
+    const std::size_t end = std::min(specs.size(), begin + chunk);
+    for (std::size_t i = begin; i < end; ++i) {
+      engine.add(std::move(specs[i]));
+    }
+    Outcomes outcomes = engine.run_outcomes();
+    return std::make_pair(std::move(outcomes), engine.take_errors());
+  };
+  Outcomes outcomes;
+  outcomes.reserve(specs.size());
+  errors.clear();
+  for (auto& [shard_outcomes, shard_errors] :
+       runner::run_batch(shards, run_shard, shards)) {
+    for (auto& outcome : shard_outcomes) outcomes.push_back(std::move(outcome));
+    errors.insert(errors.end(), shard_errors.begin(), shard_errors.end());
+  }
+  return outcomes;
+}
+
 }  // namespace
 
 bool enabled() {
@@ -36,319 +87,91 @@ bool enabled() {
          std::strcmp(value, "off") != 0 && std::strcmp(value, "false") != 0;
 }
 
-FleetEngine::FleetEngine(FleetOptions options) : options_(options) {}
+FleetEngine::FleetEngine(FleetOptions /*options*/) {}
 
 FleetEngine::~FleetEngine() = default;
 
 std::size_t FleetEngine::add(SimSpec spec) {
-  specs_.push_back(std::move(spec));
-  const SimSpec& stored = specs_.back();
-  std::int64_t hyper = 0;
-  std::exception_ptr error;
+  const SimSpec& stored = specs_.emplace_back(std::move(spec));
+  Prep prep{0, nullptr, Rng::warmed_engine(stored.options.seed)};
   try {
-    const core::SimState::SpecPrep prep =
+    const core::SimState::SpecPrep verdict =
         core::SimState::prepare(stored.tasks, stored.processor, stored.policy,
                                 stored.exec_model, stored.options);
-    hyper = prep.cycle_eligible ? prep.hyperperiod : 0;
+    prep.hyperperiod = verdict.cycle_eligible ? verdict.hyperperiod : 0;
   } catch (...) {
-    error = std::current_exception();
+    prep.error = std::current_exception();
   }
-  prep_hyperperiod_.push_back(hyper);
-  prep_errors_.push_back(std::move(error));
-  prep_rng_.push_back(Rng::warmed_engine(stored.options.seed));
+  preps_.push_back(std::move(prep));
   return specs_.size() - 1;
-}
-
-void FleetEngine::run_batch_serial(std::size_t first, std::size_t last) {
-  // The unbatched reference: exactly the call today's sweep loops make
-  // per simulation, fixed setup cost (Engine copies, fresh buffers)
-  // included.  This is what batch width 1 measures against.
-  for (std::size_t i = first; i < last; ++i) {
-    const SimSpec& spec = specs_[i];
-    try {
-      core::SimulationResult result =
-          core::simulate(spec.tasks, spec.processor, spec.policy,
-                         spec.exec_model, spec.options);
-      stats_.events += result.scheduler_invocations;
-      outcomes_[i].result.emplace(std::move(result));
-    } catch (...) {
-      errors_[i] = std::current_exception();
-      outcomes_[i].error = describe(errors_[i]);
-    }
-  }
-}
-
-void FleetEngine::run_batch_lockstep(std::size_t first, std::size_t last) {
-  // Lane-block scheduling: carve the batch into blocks of lane_block
-  // lanes and run each block's lockstep loop to completion before the
-  // next block binds.  Lanes are independent, so block size and block
-  // order cannot change any per-sim value (the differential suite pins
-  // both); what they change is cache residency — the live working set
-  // is one block's lanes + specs + mirror slices, not the batch's.
-  const std::size_t width = last - first;
-  const std::size_t block =
-      options_.lane_block == 0 ? width : std::min(options_.lane_block, width);
-  if (!options_.reverse_block_order) {
-    for (std::size_t begin = first; begin < last; begin += block) {
-      run_block_lockstep(begin, std::min(last, begin + block));
-    }
-  } else {
-    // Highest-index block first — the verification knob (see header).
-    const std::size_t count = (width + block - 1) / block;
-    for (std::size_t i = count; i-- > 0;) {
-      const std::size_t begin = first + i * block;
-      run_block_lockstep(begin, std::min(last, begin + block));
-    }
-  }
-}
-
-void FleetEngine::run_block_lockstep(std::size_t first, std::size_t last) {
-  const std::size_t width = last - first;
-  ++stats_.blocks;
-
-  // Bind the block onto the lane pool: construct lanes on first use,
-  // rebind (buffer-reusing reset) thereafter, and refresh the SoA
-  // mirrors from each lane's post-begin state.
-  if (lanes_.size() < width) lanes_.resize(width);
-  lane_clock_.assign(width, 0.0);
-  lane_done_.assign(width, 0);
-  lane_mode_.assign(width, 0);
-  lane_ratio_.assign(width, 1.0);
-  lane_energy_.assign(width, 0.0);
-  lane_events_.assign(width, 0);
-
-  Time min_horizon = std::numeric_limits<Time>::infinity();
-  for (std::size_t i = 0; i < width; ++i) {
-    const SimSpec& spec = specs_[first + i];
-    min_horizon = std::min(min_horizon, spec.options.horizon);
-    if (prep_errors_[first + i]) {
-      // The spec failed validation at add() time; begin() would throw
-      // the identical error, so report it without binding a lane.
-      errors_[first + i] = prep_errors_[first + i];
-      outcomes_[first + i].error = describe(errors_[first + i]);
-      lane_done_[i] = 1;
-      continue;
-    }
-    core::SimState::SpecPrep prep;
-    prep.hyperperiod = prep_hyperperiod_[first + i];
-    prep.cycle_eligible = prep.hyperperiod != 0;
-    try {
-      if (lanes_[i] == nullptr) {
-        lanes_[i] = std::make_unique<core::SimState>(
-            spec.tasks, spec.processor, spec.policy, spec.exec_model,
-            spec.options, &prep_rng_[first + i]);
-        ++stats_.lane_constructions;
-      } else {
-        lanes_[i]->reset(spec.tasks, spec.processor, spec.policy,
-                         spec.exec_model, spec.options,
-                         &prep_rng_[first + i]);
-        ++stats_.lane_rebinds;
-      }
-      lanes_[i]->begin(&prep);
-      lane_clock_[i] = lanes_[i]->clock();
-      lane_mode_[i] = static_cast<std::uint8_t>(lanes_[i]->mode_now());
-      lane_ratio_[i] = lanes_[i]->ratio_now();
-      lane_energy_[i] = lanes_[i]->energy_now();
-      lane_events_[i] = lanes_[i]->invocations();
-    } catch (...) {
-      errors_[first + i] = std::current_exception();
-      outcomes_[first + i].error = describe(errors_[first + i]);
-      lane_done_[i] = 1;
-    }
-  }
-
-  // Window length for each lockstep round (see FleetOptions::stride).
-  Time stride = options_.stride;
-  if (!(stride > 0.0)) stride = std::max(min_horizon / 16.0, 1.0);
-
-  // Lockstep advance: reduce for the frontier (the earliest lane
-  // clock), then advance every lane inside [frontier, frontier+stride]
-  // past the window.  Lanes are independent, so this interleaving
-  // cannot change any per-lane value — it only keeps the working set
-  // of concurrently-hot lanes bounded and the reduction O(width).
-  while (true) {
-    Time frontier = std::numeric_limits<Time>::infinity();
-    for (std::size_t i = 0; i < width; ++i) {
-      if (!lane_done_[i] && lane_clock_[i] < frontier) {
-        frontier = lane_clock_[i];
-      }
-    }
-    if (frontier == std::numeric_limits<Time>::infinity()) break;
-    ++stats_.rounds;
-    const Time limit = frontier + stride;
-
-    for (std::size_t i = 0; i < width; ++i) {
-      if (lane_done_[i] || lane_clock_[i] > limit) continue;
-      core::SimState& lane = *lanes_[i];
-      try {
-        while (!lane.finished() && lane.clock() <= limit) {
-          lane.step();
-          ++stats_.steps;
-        }
-        if (lane.finished()) {
-          core::SimulationResult result = lane.finish();
-          stats_.events += result.scheduler_invocations;
-          outcomes_[first + i].result.emplace(std::move(result));
-          lane_done_[i] = 1;
-        }
-        lane_clock_[i] = lane.clock();
-        lane_mode_[i] = static_cast<std::uint8_t>(lane.mode_now());
-        lane_ratio_[i] = lane.ratio_now();
-        lane_energy_[i] = lane.energy_now();
-        lane_events_[i] = lane.invocations();
-      } catch (...) {
-        // The lane's sim threw (deadline miss, livelock guard, ...):
-        // capture and retire the lane.  Its SimState is left mid-run —
-        // harmless, the next batch reset()s it from scratch.
-        errors_[first + i] = std::current_exception();
-        outcomes_[first + i].error = describe(errors_[first + i]);
-        lane_done_[i] = 1;
-      }
-    }
-  }
 }
 
 std::vector<runner::JobOutcome<core::SimulationResult>>
 FleetEngine::run_outcomes() {
   stats_ = FleetStats{};
   stats_.sims = specs_.size();
-  outcomes_.clear();
-  outcomes_.resize(specs_.size());
+  Outcomes outcomes(specs_.size());
   errors_.assign(specs_.size(), nullptr);
 
-  const std::size_t width = std::max<std::size_t>(options_.batch_width, 1);
-  for (std::size_t first = 0; first < specs_.size(); first += width) {
-    const std::size_t last = std::min(specs_.size(), first + width);
-    ++stats_.batches;
-    if (width <= 1) {
-      run_batch_serial(first, last);
-    } else {
-      run_batch_lockstep(first, last);
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    const SimSpec& spec = specs_[i];
+    const Prep& prep = preps_[i];
+    try {
+      // A spec that failed validation at add() time never binds the
+      // lane: run() would throw the identical error.
+      if (prep.error) std::rethrow_exception(prep.error);
+      if (lane_ == nullptr) {
+        lane_ = std::make_unique<core::SimState>(
+            spec.tasks, spec.processor, spec.policy, spec.exec_model,
+            spec.options, &prep.rng);
+        ++stats_.lane_constructions;
+      } else {
+        lane_->reset(spec.tasks, spec.processor, spec.policy,
+                     spec.exec_model, spec.options, &prep.rng);
+        ++stats_.lane_rebinds;
+      }
+      const core::SimState::SpecPrep verdict{prep.hyperperiod != 0,
+                                             prep.hyperperiod};
+      stats_.events +=
+          outcomes[i].result.emplace(lane_->run(&verdict))
+              .scheduler_invocations;
+    } catch (...) {
+      // The sim threw (deadline miss, livelock guard, ...).  The lane
+      // is left mid-run — harmless, the next spec reset()s it.
+      errors_[i] = std::current_exception();
+      outcomes[i].error = describe(errors_[i]);
     }
   }
-  return std::move(outcomes_);
+  return outcomes;
 }
 
 std::vector<core::SimulationResult> FleetEngine::run_all() {
-  std::vector<runner::JobOutcome<core::SimulationResult>> outcomes =
-      run_outcomes();
-  // run_batch semantics: surface the lowest-index failure, preserving
-  // the original exception type.
-  for (const std::exception_ptr& error : errors_) {
-    if (error) std::rethrow_exception(error);
-  }
-  std::vector<core::SimulationResult> results;
-  results.reserve(outcomes.size());
-  for (runner::JobOutcome<core::SimulationResult>& outcome : outcomes) {
-    LPFPS_CHECK(outcome.ok());
-    results.push_back(std::move(*outcome.result));
-  }
-  return results;
+  return results_or_rethrow(run_outcomes(), errors_);
 }
-
-std::vector<core::SimulationResult> run_fleet(std::vector<SimSpec> specs,
-                                              const FleetOptions& options) {
-  FleetEngine engine(options);
-  for (SimSpec& spec : specs) engine.add(std::move(spec));
-  return engine.run_all();
-}
-
-std::vector<runner::JobOutcome<core::SimulationResult>> run_fleet_isolated(
-    std::vector<SimSpec> specs, const FleetOptions& options) {
-  FleetEngine engine(options);
-  for (SimSpec& spec : specs) engine.add(std::move(spec));
-  return engine.run_outcomes();
-}
-
-namespace {
-
-/// Contiguous positional shards: shard k owns specs
-/// [k * chunk, (k + 1) * chunk).  A pure function of (spec count,
-/// thread count), so the partition — and with it every per-shard
-/// result — is independent of scheduling order.
-struct Sharding {
-  std::size_t shards = 1;
-  std::size_t chunk = 0;
-
-  Sharding(std::size_t specs, std::size_t threads) {
-    if (threads == 0) threads = runner::default_job_count();
-    shards = std::max<std::size_t>(std::min(threads, specs), 1);
-    chunk = (specs + shards - 1) / shards;
-  }
-};
-
-/// Runs one shard's specs through a worker-local FleetEngine and
-/// returns the per-spec outcomes (never throws — run_batch requires
-/// non-throwing jobs; the caller decides what a captured error means).
-/// Moving from the shared spec vector is safe: shards own disjoint
-/// index ranges.
-template <typename RunShard>
-auto shard_out(std::vector<SimSpec>& specs, const FleetOptions& options,
-               const Sharding& sharding, RunShard run_shard) {
-  return runner::run_batch(
-      sharding.shards,
-      [&](std::size_t shard) {
-        FleetEngine engine(options);
-        const std::size_t begin = shard * sharding.chunk;
-        const std::size_t end =
-            std::min(specs.size(), begin + sharding.chunk);
-        for (std::size_t i = begin; i < end; ++i) {
-          engine.add(std::move(specs[i]));
-        }
-        return run_shard(engine);
-      },
-      sharding.shards);
-}
-
-}  // namespace
 
 std::vector<core::SimulationResult> run_fleet_sharded(
     std::vector<SimSpec> specs, const FleetOptions& options,
     std::size_t threads) {
-  const Sharding sharding(specs.size(), threads);
-  if (sharding.shards <= 1) return run_fleet(std::move(specs), options);
-  // Workers capture failures as outcomes (run_batch jobs must not
-  // throw); the first bad outcome in spec order rethrows afterwards,
-  // reproducing run_fleet's lowest-index-failure semantics.
-  auto per_shard = shard_out(specs, options, sharding,
-                             [](FleetEngine& engine) {
-                               auto outcomes = engine.run_outcomes();
-                               // Preserve original exception types for
-                               // the rethrow below.
-                               return std::make_pair(std::move(outcomes),
-                                                     engine.take_errors());
-                             });
-  std::vector<core::SimulationResult> results;
-  results.reserve(specs.size());
-  for (auto& [outcomes, errors] : per_shard) {
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-    for (auto& outcome : outcomes) {
-      LPFPS_CHECK(outcome.ok());
-      results.push_back(std::move(*outcome.result));
-    }
-  }
-  return results;
+  std::vector<std::exception_ptr> errors;
+  Outcomes outcomes = run_shards(specs, options, threads, errors);
+  return results_or_rethrow(std::move(outcomes), errors);
 }
 
 std::vector<runner::JobOutcome<core::SimulationResult>>
 run_fleet_sharded_isolated(std::vector<SimSpec> specs,
                            const FleetOptions& options, std::size_t threads) {
-  const Sharding sharding(specs.size(), threads);
-  if (sharding.shards <= 1) {
-    return run_fleet_isolated(std::move(specs), options);
-  }
-  std::vector<std::vector<runner::JobOutcome<core::SimulationResult>>>
-      per_shard =
-          shard_out(specs, options, sharding,
-                    [](FleetEngine& engine) { return engine.run_outcomes(); });
-  std::vector<runner::JobOutcome<core::SimulationResult>> outcomes;
-  outcomes.reserve(specs.size());
-  for (auto& shard : per_shard) {
-    for (auto& outcome : shard) outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
+  std::vector<std::exception_ptr> errors;
+  return run_shards(specs, options, threads, errors);
+}
+
+std::vector<core::SimulationResult> run_fleet(std::vector<SimSpec> specs,
+                                              const FleetOptions& options) {
+  return run_fleet_sharded(std::move(specs), options, 1);
+}
+
+std::vector<runner::JobOutcome<core::SimulationResult>> run_fleet_isolated(
+    std::vector<SimSpec> specs, const FleetOptions& options) {
+  return run_fleet_sharded_isolated(std::move(specs), options, 1);
 }
 
 }  // namespace lpfps::fleet

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
 #include "core/engine.h"
 #include "sched/priority.h"
 #include "workloads/example.h"
@@ -149,6 +150,27 @@ TEST(EnginePowerDown, ConventionalTimeoutWastesEnergyVersusExact) {
       simulate(tasks, cpu(), SchedulerPolicy::fps_timeout_shutdown(60.0),
                nullptr, options(1000.0));
   EXPECT_LT(exact.total_energy, timeout.total_energy);
+}
+
+TEST(EnginePowerDown, PowerDownAtHorizonIsNotCounted) {
+  // C = 50, T = 100 at WCET: the job completes at 50, 150, 250, ...  A
+  // run ending exactly at a completion must not count a power-down it
+  // never records: audit C2 compares the counter with the trace.
+  const sched::TaskSet tasks = single_task(100, 50.0);
+  for (const Time horizon : {50.0, 250.0}) {
+    const SimulationResult result =
+        simulate(tasks, cpu(), SchedulerPolicy::lpfps_powerdown_only(),
+                 nullptr, options(horizon, true));
+    ASSERT_TRUE(result.trace.has_value());
+    int sleeps = 0;
+    for (const sim::Segment& s : result.trace->segments()) {
+      if (s.mode == ProcessorMode::kPowerDown) ++sleeps;
+    }
+    EXPECT_EQ(result.power_downs, sleeps) << "horizon " << horizon;
+    const audit::AuditReport report = audit::audit_run(result, tasks, cpu());
+    EXPECT_TRUE(report.ok()) << "horizon " << horizon << ": "
+                             << report.to_string();
+  }
 }
 
 }  // namespace

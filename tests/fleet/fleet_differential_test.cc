@@ -1,7 +1,7 @@
 // Differential suite pinning the fleet engine's bit-identity contract:
-// every simulation run through fleet::FleetEngine — at any batch width,
-// any stride, any lane-block size or block order, mixed with any
-// neighbours — must produce results bit-identical to a serial
+// every simulation run through fleet::FleetEngine — on a lane rebound
+// from any predecessor, mixed with any neighbours, failing ones
+// included — must produce results bit-identical to a serial
 // core::simulate of the same spec.  Identity
 // is asserted on the serialized forms the repo treats as ground truth
 // (io::result_csv_row, trace segment/job CSVs), the same currency the
@@ -95,85 +95,12 @@ TEST(FleetDifferential, BatchMatchesSerialAcrossWidthsAndPolicies) {
   const std::vector<fleet::SimSpec> specs = make_specs(6, true);
   const std::vector<std::string> serial = serial_identities(specs);
 
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{7}, std::size_t{64}}) {
-    fleet::FleetOptions options;
-    options.batch_width = width;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    ASSERT_EQ(results.size(), specs.size()) << "width " << width;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at batch width " << width;
-    }
-  }
-}
-
-TEST(FleetDifferential, StrideInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(4, true);
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const Time stride : {1.0, 5'000.0, 1e9}) {
-    fleet::FleetOptions options;
-    options.batch_width = 8;
-    options.stride = stride;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at stride " << stride;
-    }
-  }
-}
-
-/// Lane-block invariance: a batch is scheduled as cache-sized blocks
-/// of lane_block lanes, and any block size — including 0 (the whole
-/// batch as one block, the pre-blocking behavior) and sizes that leave
-/// uneven tails — must be bit-identical to serial.
-TEST(FleetDifferential, BlockSizeInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(6, true);  // 12 sims.
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const std::size_t lane_block :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{5},
-        std::size_t{12}, std::size_t{64}}) {
-    fleet::FleetOptions options;
-    options.batch_width = specs.size();  // One batch, blocks inside it.
-    options.lane_block = lane_block;
-    fleet::FleetEngine engine(options);
-    for (const fleet::SimSpec& spec : specs) engine.add(spec);
-    const std::vector<core::SimulationResult> results = engine.run_all();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged at lane_block " << lane_block;
-    }
-    const std::size_t effective =
-        lane_block == 0 ? specs.size() : lane_block;
-    EXPECT_EQ(engine.stats().blocks,
-              (specs.size() + effective - 1) / effective)
-        << "lane_block " << lane_block;
-  }
-}
-
-/// Block-order invariance: blocks are independent lane subsets, so
-/// running them highest-index-first (the reverse_block_order
-/// verification knob) must change nothing.
-TEST(FleetDifferential, BlockOrderInvariance) {
-  const std::vector<fleet::SimSpec> specs = make_specs(5, true);  // 10 sims.
-  const std::vector<std::string> serial = serial_identities(specs);
-
-  for (const bool reverse : {false, true}) {
-    fleet::FleetOptions options;
-    options.batch_width = specs.size();
-    options.lane_block = 3;  // Four blocks, uneven tail.
-    options.reverse_block_order = reverse;
-    const std::vector<core::SimulationResult> results =
-        fleet::run_fleet(specs, options);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
-          << "sim " << i << " diverged with reverse_block_order="
-          << reverse;
-    }
+  const std::vector<core::SimulationResult> results =
+      fleet::run_fleet(specs, fleet::FleetOptions{});
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
+        << "sim " << i << " diverged";
   }
 }
 
@@ -228,10 +155,8 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
     ASSERT_GT(cyc.cycles_detected, 0);
   }
 
-  fleet::FleetOptions options;
-  options.batch_width = specs.size();  // One batch holding everything.
   const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, options);
+      fleet::run_fleet(specs, fleet::FleetOptions{});
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
         << "sim " << i << " diverged in the mixed batch";
@@ -239,13 +164,13 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
 }
 
 /// Lane reuse must not leak state between sims: run the same specs
-/// twice through one engine (every lane is rebound in round two) and
-/// through widths that force uneven batch tails.
+/// twice through one engine (the lane is rebound for every sim in
+/// round two).
 TEST(FleetDifferential, LaneRebindLeaksNothing) {
   const std::vector<fleet::SimSpec> specs = make_specs(5, false);
   const std::vector<std::string> serial = serial_identities(specs);
 
-  fleet::FleetEngine engine(fleet::FleetOptions{3, 0.0});
+  fleet::FleetEngine engine;
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
   for (int round = 0; round < 2; ++round) {
     const std::vector<core::SimulationResult> results = engine.run_all();
@@ -257,8 +182,12 @@ TEST(FleetDifferential, LaneRebindLeaksNothing) {
   EXPECT_GT(engine.stats().lane_rebinds, 0u);
 }
 
+/// A throwing sim in the middle of the batch leaves the one lane
+/// mid-run; the healthy sims after it rebind that lane and must stay
+/// byte-identical to serial.
 TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
-  std::vector<fleet::SimSpec> specs = make_specs(2, false);
+  const std::vector<fleet::SimSpec> healthy = make_specs(2, true);
+  std::vector<fleet::SimSpec> specs(healthy.begin(), healthy.begin() + 2);
   // An unschedulable two-task set under strict miss semantics: the
   // second task cannot make its deadline, so this sim throws.
   {
@@ -269,41 +198,43 @@ TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
     core::EngineOptions options;
     options.horizon = 1'000;
     options.seed = 3;
+    options.record_trace = true;  // Leaves a half-written trace behind.
     specs.push_back({std::move(tasks), power::ProcessorConfig::arm8_default(),
                      core::SchedulerPolicy::fps(), nullptr, options});
   }
   const std::size_t failing = specs.size() - 1;
+  specs.insert(specs.end(), healthy.begin() + 2, healthy.end());
+  ASSERT_LT(failing + 1, specs.size());
 
-  fleet::FleetOptions options;
-  options.batch_width = specs.size();
-  const auto outcomes = fleet::run_fleet_isolated(specs, options);
+  const auto outcomes = fleet::run_fleet_isolated(specs);
   ASSERT_EQ(outcomes.size(), specs.size());
   EXPECT_FALSE(outcomes[failing].ok());
   EXPECT_NE(outcomes[failing].error.find("deadline miss"), std::string::npos);
-  for (std::size_t i = 0; i < failing; ++i) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (i == failing) continue;
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
     EXPECT_EQ(identity(specs[i].tasks, *outcomes[i].result),
               identity(specs[i].tasks,
                        core::simulate(specs[i].tasks, specs[i].processor,
                                       specs[i].policy, specs[i].exec_model,
                                       specs[i].options)))
-        << "healthy sim " << i << " perturbed by a failing lane";
+        << "healthy sim " << i << " perturbed by a failing neighbour";
   }
 
   // run_all surfaces the lowest-index failure as the original type.
-  fleet::FleetEngine engine(options);
+  fleet::FleetEngine engine;
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
   EXPECT_THROW(engine.run_all(), std::runtime_error);
+  EXPECT_EQ(engine.stats().lane_constructions, 1u);  // One reused lane.
 }
 
 /// The audit battery accepts fleet-produced traces: zero violations
 /// over a batched sweep, with the aggregator seeing every run.
 TEST(FleetDifferential, AuditPassOverFleetTraces) {
   const std::vector<fleet::SimSpec> specs = make_specs(4, false);
-  fleet::FleetOptions options;
-  options.batch_width = 8;
   audit::AuditAggregator agg("fleet_differential");
-  const auto results = audit::simulate_fleet(specs, options, &agg);
+  const auto results =
+      audit::simulate_fleet(specs, fleet::FleetOptions{}, &agg);
   ASSERT_EQ(results.size(), specs.size());
   // Traces were forced for auditing, then dropped per spec.
   for (const auto& result : results) EXPECT_FALSE(result.trace.has_value());
@@ -314,19 +245,16 @@ TEST(FleetDifferential, AuditPassOverFleetTraces) {
 
 TEST(FleetDifferential, StatsObserveBatchingMechanics) {
   const std::vector<fleet::SimSpec> specs = make_specs(9, false);  // 18 sims.
-  fleet::FleetEngine engine(fleet::FleetOptions{8, 0.0});
+  fleet::FleetEngine engine;
   for (const fleet::SimSpec& spec : specs) engine.add(spec);
   const auto results = engine.run_all();
   ASSERT_EQ(results.size(), specs.size());
 
   const fleet::FleetStats& stats = engine.stats();
   EXPECT_EQ(stats.sims, specs.size());
-  EXPECT_EQ(stats.batches, (specs.size() + 7) / 8);
-  // 18 sims over 8 lanes: 8 constructions, 10 rebinds.
-  EXPECT_EQ(stats.lane_constructions, 8u);
-  EXPECT_EQ(stats.lane_rebinds, specs.size() - 8);
-  EXPECT_GT(stats.rounds, 0u);
-  EXPECT_GT(stats.steps, 0);
+  // One lane: constructed for the first sim, rebound for the rest.
+  EXPECT_EQ(stats.lane_constructions, 1u);
+  EXPECT_EQ(stats.lane_rebinds, specs.size() - 1);
   std::int64_t events = 0;
   for (const auto& result : results) events += result.scheduler_invocations;
   EXPECT_EQ(stats.events, events);
