@@ -139,8 +139,8 @@ int main() {
       specs.push_back(
           {job.tasks, cpu, configs[job.config].policy, exec, job_options(job)});
     }
-    results =
-        audit::simulate_fleet(std::move(specs), fleet::FleetOptions{}, &agg);
+    results = audit::simulate_fleet_sharded(std::move(specs),
+                                            fleet::FleetOptions{}, &agg);
   } else {
     results = runner::run_batch(jobs.size(), [&](std::size_t i) {
       const Job& job = jobs[i];

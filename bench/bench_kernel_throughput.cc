@@ -416,7 +416,7 @@ int main() {
     if (audit::enabled()) {
       // One untimed audited pass over the pool ties the throughput
       // numbers to verified schedules, like every other section.
-      (void)audit::simulate_fleet(specs, fleet::FleetOptions{}, &agg);
+      (void)audit::simulate_fleet_sharded(specs, fleet::FleetOptions{}, &agg);
     }
     const auto serial = [&specs] {
       std::int64_t events = 0;

@@ -81,9 +81,10 @@ int main() {
   audit::AuditAggregator agg("random_tasksets");
   std::vector<Powers> powers;
   if (fleet::enabled()) {
-    // Fleet path: both policy runs of every set become lanes of one
-    // batched engine (fps at 2i, lpfps at 2i+1, sharing the set's seed
-    // so both policies see the same execution-time draws).
+    // Fleet path: both policy runs of every set go through the sharded
+    // audited fleet, one reused lane per LPFPS_JOBS worker (fps at 2i,
+    // lpfps at 2i+1, sharing the set's seed so both policies see the
+    // same execution-time draws).
     std::vector<fleet::SimSpec> specs;
     specs.reserve(jobs.size() * 2);
     for (const Job& job : jobs) {
@@ -96,7 +97,8 @@ int main() {
           {job.tasks, cpu, core::SchedulerPolicy::lpfps(), exec, options});
     }
     const std::vector<core::SimulationResult> results =
-        audit::simulate_fleet(std::move(specs), fleet::FleetOptions{}, &agg);
+        audit::simulate_fleet_sharded(std::move(specs), fleet::FleetOptions{},
+                                      &agg);
     powers.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const core::SimulationResult& lpfps_run = results[2 * i + 1];

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "io/bench_json.h"
 
 namespace lpfps::audit {
@@ -226,6 +227,16 @@ void AuditAggregator::check() const {
   throw std::runtime_error(detail);
 }
 
+namespace {
+
+[[noreturn]] void throw_audit_failure(const std::string& policy,
+                                      const AuditReport& report) {
+  throw std::runtime_error("trace audit failed for policy '" + policy +
+                           "': " + report.to_string());
+}
+
+}  // namespace
+
 core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const power::ProcessorConfig& processor,
                                 const core::SchedulerPolicy& policy,
@@ -244,59 +255,23 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
   if (aggregator != nullptr) {
     aggregator->add(report, result);
   } else if (!report.ok()) {
-    throw std::runtime_error("trace audit failed for policy '" +
-                             policy.name + "': " + report.to_string());
+    throw_audit_failure(policy.name, report);
   }
   if (!options.record_trace) result.trace.reset();
   return result;
 }
 
-namespace {
-
-/// The post-run half of the fleet audit: runs every result's trace
-/// through audit_run against its own spec, then drops traces the spec
-/// did not ask for.  `wanted_trace[i]` is specs[i]'s record_trace
-/// before it was forced on for auditing.
-void audit_fleet_results(const std::vector<fleet::SimSpec>& specs,
-                         const std::vector<bool>& wanted_trace,
-                         std::vector<core::SimulationResult>& results,
-                         AuditAggregator* aggregator) {
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const fleet::SimSpec& spec = specs[i];
-    const AuditReport report =
-        audit_run(results[i], spec.tasks, spec.processor,
-                  derive_options(spec.policy, spec.options));
+void fold_lane_audits(const std::vector<LaneAudit>& audits,
+                      const std::vector<core::SimulationResult>& results,
+                      AuditAggregator* aggregator) {
+  LPFPS_CHECK(audits.size() == results.size());
+  for (std::size_t i = 0; i < audits.size(); ++i) {
     if (aggregator != nullptr) {
-      aggregator->add(report, results[i]);
-    } else if (!report.ok()) {
-      throw std::runtime_error("trace audit failed for policy '" +
-                               spec.policy.name + "': " + report.to_string());
+      aggregator->add(audits[i].report, results[i]);
+    } else if (!audits[i].report.ok()) {
+      throw_audit_failure(audits[i].policy, audits[i].report);
     }
-    if (!wanted_trace[i]) results[i].trace.reset();
   }
-}
-
-}  // namespace
-
-std::vector<core::SimulationResult> simulate_fleet(
-    std::vector<fleet::SimSpec> specs,
-    const fleet::FleetOptions& fleet_options, AuditAggregator* aggregator) {
-  if (!enabled()) {
-    return fleet::run_fleet(std::move(specs), fleet_options);
-  }
-  // The engine borrows nothing from `specs` (SimSpec is self-owning),
-  // but the audit needs each spec after the run — so add copies and
-  // keep the originals for audit_run.
-  std::vector<bool> wanted_trace(specs.size());
-  fleet::FleetEngine engine(fleet_options);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    wanted_trace[i] = specs[i].options.record_trace;
-    specs[i].options.record_trace = true;
-    engine.add(specs[i]);
-  }
-  std::vector<core::SimulationResult> results = engine.run_all();
-  audit_fleet_results(specs, wanted_trace, results, aggregator);
-  return results;
 }
 
 std::vector<core::SimulationResult> simulate_fleet_sharded(
@@ -306,22 +281,28 @@ std::vector<core::SimulationResult> simulate_fleet_sharded(
   if (!enabled()) {
     return fleet::run_fleet_sharded(std::move(specs), fleet_options, threads);
   }
-  // As in simulate_fleet: the workers run copies with traces forced
-  // on, the originals stay behind for audit_run.  Auditing happens on
-  // the calling thread after the fan-out — results come back in spec
-  // order, so the audit pass (and any violation it throws) is
-  // byte-identical to the serial simulate_fleet path.
+  // Each worker audits its sims against the spec its lane stores and
+  // hands every trace the spec did not ask for back to that lane.  The
+  // reports are folded here, in spec order, so sums, samples and the
+  // lowest-index throw do not depend on the worker count; a sim
+  // exception, rethrown by run_fleet_sharded, still wins over them.
   std::vector<bool> wanted_trace(specs.size());
-  std::vector<fleet::SimSpec> to_run;
-  to_run.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     wanted_trace[i] = specs[i].options.record_trace;
     specs[i].options.record_trace = true;
-    to_run.push_back(specs[i]);
   }
-  std::vector<core::SimulationResult> results =
-      fleet::run_fleet_sharded(std::move(to_run), fleet_options, threads);
-  audit_fleet_results(specs, wanted_trace, results, aggregator);
+  std::vector<LaneAudit> audits(specs.size());
+  const auto audit_on_lane = [&](std::size_t i, const fleet::SimSpec& spec,
+                                 const core::SimulationResult& result) {
+    LaneAudit& lane = audits[i];
+    lane.report = audit_run(result, spec.tasks, spec.processor,
+                            derive_options(spec.policy, spec.options));
+    if (!lane.report.ok()) lane.policy = spec.policy.name;
+    return static_cast<bool>(wanted_trace[i]);
+  };
+  std::vector<core::SimulationResult> results = fleet::run_fleet_sharded(
+      std::move(specs), fleet_options, threads, audit_on_lane);
+  fold_lane_audits(audits, results, aggregator);
   return results;
 }
 

@@ -8,6 +8,7 @@
 // it off, audit::simulate is exactly core::simulate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -118,29 +119,36 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const core::EngineOptions& options,
                                 AuditAggregator* aggregator = nullptr);
 
-/// Fleet twin of audit::simulate — the fleet-aware aggregation hook.
-/// Runs every spec through one fleet::FleetEngine, forcing recorded
-/// traces while the audit is enabled, audits each sim's trace against
-/// its own spec, and drops traces the spec did not ask for.  Results
-/// come back in spec order (bit-identical to per-spec audit::simulate
-/// calls, by the fleet's bit-identity contract).  On a violation:
-/// throws, or records into `aggregator` when supplied.  With the audit
-/// disabled this is exactly fleet::run_fleet.
-std::vector<core::SimulationResult> simulate_fleet(
-    std::vector<fleet::SimSpec> specs, const fleet::FleetOptions& fleet_options,
-    AuditAggregator* aggregator = nullptr);
-
-/// Sharded twin of simulate_fleet: runs the specs through
+/// Fleet twin of audit::simulate: runs the specs through
 /// fleet::run_fleet_sharded (one FleetEngine per ThreadPool worker,
-/// contiguous positional shards) and audits the results on the calling
-/// thread, in spec order.  Output is byte-identical to simulate_fleet
-/// for any worker count — sharding only changes which thread runs a
-/// lane.  `threads == 0` means runner::default_job_count()
-/// (LPFPS_JOBS).  With the audit disabled this is exactly
+/// contiguous positional shards), forcing recorded traces while the
+/// audit is enabled.  Each worker audits every sim it ran against that
+/// sim's own spec right after the run, then hands the traces the spec
+/// did not ask for back to its lane for reuse.  The calling thread folds
+/// the reports in spec order (fold_lane_audits), so results, aggregator
+/// sums and samples, and the throw are byte-identical for any worker
+/// count, and to per-spec audit::simulate calls.  A throwing sim wins
+/// over any audit failure.  `threads == 0` means
+/// runner::default_job_count() (LPFPS_JOBS); `threads == 1` runs on the
+/// calling thread.  With the audit disabled this is exactly
 /// fleet::run_fleet_sharded.
 std::vector<core::SimulationResult> simulate_fleet_sharded(
     std::vector<fleet::SimSpec> specs, const fleet::FleetOptions& fleet_options,
     AuditAggregator* aggregator = nullptr, std::size_t threads = 0);
+
+/// One fleet sim's audit, taken on the worker lane that ran it.
+struct LaneAudit {
+  AuditReport report;
+  std::string policy;  ///< The spec's policy name; set only on failure.
+};
+
+/// The calling-thread half of simulate_fleet_sharded: folds one
+/// LaneAudit per spec into `aggregator` in spec order or, without one,
+/// throws audit::simulate's std::runtime_error for the lowest-index
+/// failing report.  `audits[i]` belongs to `results[i]`.
+void fold_lane_audits(const std::vector<LaneAudit>& audits,
+                      const std::vector<core::SimulationResult>& results,
+                      AuditAggregator* aggregator);
 
 /// The bench routing switch: runs `specs` through the sharded audited
 /// fleet when fleet routing is on (fleet::enabled(), i.e. LPFPS_FLEET),

@@ -154,7 +154,7 @@ void SimState::reset(const sched::TaskSet& tasks,
   }
   power_model_.emplace(processor.make_power_model());
   accumulator_.emplace(&*power_model_);
-  trace_ = sim::Trace();
+  trace_.clear();
 
   now_ = TimePoint{};
   state_ = CpuState::kIdle;

@@ -28,6 +28,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "common/float_compare.h"
@@ -291,6 +292,11 @@ class SimState {
   /// same spec), validation and the eligibility probe are skipped; only
   /// the runtime LPFPS_CYCLE gate is re-read.
   SimulationResult run(const SpecPrep* prep = nullptr);
+
+  /// Hands a trace this lane produced back once its reader is done, so
+  /// the next run records into its buffers (reset() clears the trace and
+  /// keeps the capacity).  Content never leaks: reset() clears it.
+  void recycle_trace(sim::Trace&& trace) { trace_ = std::move(trace); }
 
  private:
   // --- the main loop: begin, step until finished, finish ----------------

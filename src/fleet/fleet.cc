@@ -48,8 +48,9 @@ std::vector<core::SimulationResult> results_or_rethrow(
 /// owns specs [k * chunk, (k + 1) * chunk), a pure function of (spec
 /// count, thread count).  A single shard runs on the calling thread.
 /// Returns outcomes in spec order; `errors` receives their exceptions.
+/// `visit` sees spec-list indices: each shard offsets its engine's.
 Outcomes run_shards(std::vector<SimSpec>& specs, const FleetOptions& options,
-                    std::size_t threads,
+                    std::size_t threads, const ResultVisitor& visit,
                     std::vector<std::exception_ptr>& errors) {
   if (threads == 0) threads = runner::default_job_count();
   const std::size_t shards =
@@ -64,7 +65,14 @@ Outcomes run_shards(std::vector<SimSpec>& specs, const FleetOptions& options,
     for (std::size_t i = begin; i < end; ++i) {
       engine.add(std::move(specs[i]));
     }
-    Outcomes outcomes = engine.run_outcomes();
+    ResultVisitor shard_visit;
+    if (visit) {
+      shard_visit = [&visit, begin](std::size_t i, const SimSpec& spec,
+                                    const core::SimulationResult& result) {
+        return visit(begin + i, spec, result);
+      };
+    }
+    Outcomes outcomes = engine.run_outcomes(shard_visit);
     return std::make_pair(std::move(outcomes), engine.take_errors());
   };
   Outcomes outcomes;
@@ -107,7 +115,7 @@ std::size_t FleetEngine::add(SimSpec spec) {
 }
 
 std::vector<runner::JobOutcome<core::SimulationResult>>
-FleetEngine::run_outcomes() {
+FleetEngine::run_outcomes(const ResultVisitor& visit) {
   stats_ = FleetStats{};
   stats_.sims = specs_.size();
   Outcomes outcomes(specs_.size());
@@ -132,12 +140,18 @@ FleetEngine::run_outcomes() {
       }
       const core::SimState::SpecPrep verdict{prep.hyperperiod != 0,
                                              prep.hyperperiod};
-      stats_.events +=
-          outcomes[i].result.emplace(lane_->run(&verdict))
-              .scheduler_invocations;
+      core::SimulationResult& result =
+          outcomes[i].result.emplace(lane_->run(&verdict));
+      if (visit && !visit(i, spec, result) && result.trace) {
+        lane_->recycle_trace(std::move(*result.trace));
+        result.trace.reset();
+      }
+      stats_.events += result.scheduler_invocations;
     } catch (...) {
-      // The sim threw (deadline miss, livelock guard, ...).  The lane
-      // is left mid-run — harmless, the next spec reset()s it.
+      // The sim (or the visitor) threw: deadline miss, livelock guard,
+      // ...  The lane is left mid-run — harmless, the next spec
+      // reset()s it.
+      outcomes[i].result.reset();
       errors_[i] = std::current_exception();
       outcomes[i].error = describe(errors_[i]);
     }
@@ -151,9 +165,9 @@ std::vector<core::SimulationResult> FleetEngine::run_all() {
 
 std::vector<core::SimulationResult> run_fleet_sharded(
     std::vector<SimSpec> specs, const FleetOptions& options,
-    std::size_t threads) {
+    std::size_t threads, const ResultVisitor& visit) {
   std::vector<std::exception_ptr> errors;
-  Outcomes outcomes = run_shards(specs, options, threads, errors);
+  Outcomes outcomes = run_shards(specs, options, threads, visit, errors);
   return results_or_rethrow(std::move(outcomes), errors);
 }
 
@@ -161,7 +175,7 @@ std::vector<runner::JobOutcome<core::SimulationResult>>
 run_fleet_sharded_isolated(std::vector<SimSpec> specs,
                            const FleetOptions& options, std::size_t threads) {
   std::vector<std::exception_ptr> errors;
-  return run_shards(specs, options, threads, errors);
+  return run_shards(specs, options, threads, {}, errors);
 }
 
 std::vector<core::SimulationResult> run_fleet(std::vector<SimSpec> specs,

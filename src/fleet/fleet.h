@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <random>
 #include <vector>
@@ -61,6 +62,18 @@ struct FleetStats {
   std::int64_t events = 0;  ///< Scheduler invocations across all sims.
 };
 
+/// Per-result visitor of a run: called on the thread running the lane,
+/// right after spec `index` (its position in the call's spec list)
+/// finishes without throwing, with the stored spec and its result.
+/// Returns true when the caller keeps `result.trace`; false hands the
+/// trace's buffers back to the lane, so the next sim records into them,
+/// and the result comes back without a trace.  A throwing visitor fails
+/// its spec as a throwing sim would.  Sharded runs call it concurrently
+/// from every worker, each index once.
+using ResultVisitor = std::function<bool(
+    std::size_t index, const SimSpec& spec,
+    const core::SimulationResult& result)>;
+
 /// Add every spec, then run; results come back in add order.  Not
 /// thread-safe: run_fleet_sharded gives each worker its own engine.
 class FleetEngine {
@@ -83,8 +96,10 @@ class FleetEngine {
   /// run_all with per-sim fault isolation: a throwing sim yields a
   /// JobOutcome carrying its error text instead of aborting the batch
   /// (runner::run_batch_isolated semantics).  Later sims rebind the
-  /// lane from scratch, so a failure cannot perturb them.
-  std::vector<runner::JobOutcome<core::SimulationResult>> run_outcomes();
+  /// lane from scratch, so a failure cannot perturb them.  `visit`, when
+  /// set, sees every successful result (indices are add() indices).
+  std::vector<runner::JobOutcome<core::SimulationResult>> run_outcomes(
+      const ResultVisitor& visit = {});
 
   /// Counters of the most recent run_* call.
   const FleetStats& stats() const { return stats_; }
@@ -136,10 +151,11 @@ std::vector<runner::JobOutcome<core::SimulationResult>> run_fleet_isolated(
 /// N-worker output is byte-identical to run_fleet: results in spec
 /// order, a failure surfacing as the lowest-spec-index exception.
 /// `threads == 0` means runner::default_job_count() (LPFPS_JOBS);
-/// `threads <= 1` runs one shard on the calling thread.
+/// `threads <= 1` runs one shard on the calling thread.  `visit`, when
+/// set, runs on the worker after each successful sim (ResultVisitor).
 std::vector<core::SimulationResult> run_fleet_sharded(
     std::vector<SimSpec> specs, const FleetOptions& options = {},
-    std::size_t threads = 0);
+    std::size_t threads = 0, const ResultVisitor& visit = {});
 
 /// run_fleet_sharded with per-sim fault isolation (JobOutcome per
 /// spec, runner::run_batch_isolated semantics).

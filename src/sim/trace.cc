@@ -66,6 +66,11 @@ void Trace::reserve(std::size_t segments, std::size_t jobs) {
   jobs_.reserve(jobs);
 }
 
+void Trace::clear() {
+  segments_.clear();
+  jobs_.clear();
+}
+
 void Trace::add_segment(const Segment& segment) {
   LPFPS_CHECK_MSG(approx_le(segment.begin, segment.end),
                   "segment runs backwards");

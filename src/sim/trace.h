@@ -85,6 +85,10 @@ class Trace {
   /// recording never reallocates.
   void reserve(std::size_t segments, std::size_t jobs);
 
+  /// Drops every segment and job record, keeping the buffers' capacity
+  /// (a reused simulation lane records its next run into them).
+  void clear();
+
   /// Appends a segment.  Zero-length segments are dropped.  Segments must
   /// be appended in order and contiguously (each begins where the previous
   /// ended); adjacent segments satisfying can_coalesce — same mode and

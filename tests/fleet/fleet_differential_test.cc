@@ -8,6 +8,8 @@
 // runner-determinism and cycle-detection suites use.
 #include "fleet/fleet.h"
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,13 +230,177 @@ TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
   EXPECT_EQ(engine.stats().lane_constructions, 1u);  // One reused lane.
 }
 
+/// A fresh-lane reference for one spec: a serial core::simulate's
+/// result row and full identity, or its exception text in both.
+struct Reference {
+  std::string row;
+  std::string full;
+};
+
+Reference serial_reference(const fleet::SimSpec& spec) {
+  try {
+    const core::SimulationResult result =
+        core::simulate(spec.tasks, spec.processor, spec.policy,
+                       spec.exec_model, spec.options);
+    return {io::result_csv_row(result), identity(spec.tasks, result)};
+  } catch (const std::exception& e) {
+    const std::string error = std::string("error: ") + e.what();
+    return {error, error};
+  }
+}
+
+fleet::SimSpec uunifast_spec(Rng& rng, int task_count, Time horizon,
+                             const core::SchedulerPolicy& policy,
+                             std::uint64_t seed) {
+  workloads::GeneratorConfig config;
+  config.task_count = task_count;
+  config.total_utilization = 0.6;
+  config.bcet_ratio = 0.5;
+  config.period_min = 10'000;
+  config.period_max = 80'000;
+  config.period_granularity = 10'000;
+  sched::TaskSet tasks;
+  do {
+    tasks = workloads::generate_task_set(config, rng);
+  } while (!sched::is_schedulable_rta(tasks));
+  core::EngineOptions options;
+  options.horizon = horizon;
+  options.seed = seed;
+  options.record_trace = true;
+  return {std::move(tasks), power::ProcessorConfig::arm8_default(), policy,
+          std::make_shared<exec::ClampedGaussianModel>(), options};
+}
+
+/// Trace recycling: a visitor that hands some traces back to the lane
+/// must leave every result — kept traces, recycled runs, a failure that
+/// abandons a half-written trace in the lane, a larger set recording
+/// into a smaller set's buffers — bit-identical to a fresh
+/// core::simulate, on one lane and across sharded workers.
+TEST(FleetDifferential, RecycledLaneIsBitIdentical) {
+  Rng rng(5);
+  const auto fps = core::SchedulerPolicy::fps();
+  const auto lpfps = core::SchedulerPolicy::lpfps();
+  std::vector<fleet::SimSpec> specs;
+  std::vector<bool> keep;
+  const auto push = [&](fleet::SimSpec spec, bool kept) {
+    specs.push_back(std::move(spec));
+    keep.push_back(kept);
+  };
+  push(uunifast_spec(rng, 4, 400'000, lpfps, 1), false);
+  // Smaller than its predecessor: records into the recycled buffers.
+  const std::size_t reuses_buffer = specs.size();
+  push(uunifast_spec(rng, 2, 100'000, fps, 2), true);
+  // Throws mid-run, leaving its half-written trace in the lane.
+  const std::size_t failing = specs.size();
+  {
+    sched::TaskSet tasks;
+    tasks.add(sched::make_task("hog", 100, 80.0));
+    tasks.add(sched::make_task("late", 100, 40.0));
+    sched::assign_rate_monotonic(tasks);
+    core::EngineOptions options;
+    options.horizon = 1'000;
+    options.seed = 3;
+    options.record_trace = true;
+    push({std::move(tasks), power::ProcessorConfig::arm8_default(), fps,
+          nullptr, options},
+         false);
+  }
+  push(uunifast_spec(rng, 2, 100'000, lpfps, 4), false);
+  // Larger than anything before it: the recycled buffers must grow.
+  push(uunifast_spec(rng, 10, 800'000, lpfps, 5), false);
+  push(uunifast_spec(rng, 6, 400'000, fps, 6), true);
+  push(uunifast_spec(rng, 3, 200'000, lpfps, 7), false);
+  push(uunifast_spec(rng, 8, 800'000, fps, 8), true);
+  // A spec that records no trace at all, then one that keeps it.
+  {
+    fleet::SimSpec spec = uunifast_spec(rng, 5, 400'000, lpfps, 9);
+    spec.options.record_trace = false;
+    push(std::move(spec), false);
+  }
+  push(uunifast_spec(rng, 5, 400'000, lpfps, 10), true);
+
+  std::vector<Reference> serial;
+  for (const fleet::SimSpec& spec : specs) {
+    serial.push_back(serial_reference(spec));
+  }
+  ASSERT_EQ(serial[failing].full.rfind("error: deadline miss", 0), 0u);
+
+  // One lane, two rounds: round two rebinds a lane that already holds
+  // recycled buffers from round one.
+  fleet::FleetEngine engine;
+  for (const fleet::SimSpec& spec : specs) engine.add(spec);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::string> visited(specs.size());
+    std::vector<const sim::Segment*> buffer(specs.size(), nullptr);
+    const auto outcomes = engine.run_outcomes(
+        [&](std::size_t i, const fleet::SimSpec& spec,
+            const core::SimulationResult& result) {
+          // The visitor sees the full trace, recycled or not.
+          visited[i] = identity(spec.tasks, result);
+          if (result.trace) buffer[i] = result.trace->segments().data();
+          return static_cast<bool>(keep[i]);
+        });
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (i == failing) {
+        EXPECT_FALSE(outcomes[i].ok());
+        EXPECT_EQ("error: " + outcomes[i].error, serial[i].full);
+        EXPECT_TRUE(visited[i].empty()) << "visitor saw a failed sim";
+        continue;
+      }
+      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+      const core::SimulationResult& result = *outcomes[i].result;
+      EXPECT_EQ(visited[i], serial[i].full)
+          << "sim " << i << ", round " << round;
+      EXPECT_EQ(io::result_csv_row(result), serial[i].row) << "sim " << i;
+      if (keep[i] && specs[i].options.record_trace) {
+        ASSERT_TRUE(result.trace.has_value()) << "sim " << i;
+        EXPECT_EQ(identity(specs[i].tasks, result), serial[i].full)
+            << "kept trace " << i << " diverged in round " << round;
+      } else {
+        EXPECT_FALSE(result.trace.has_value()) << "sim " << i;
+      }
+    }
+    // The smaller set recorded into its predecessor's recycled buffer.
+    EXPECT_EQ(buffer[reuses_buffer], buffer[reuses_buffer - 1]);
+    EXPECT_EQ(engine.stats().lane_constructions, round == 0 ? 1u : 0u);
+  }
+
+  // Sharded: the same visitor runs concurrently on every worker.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<fleet::SimSpec> healthy;
+    std::vector<std::size_t> original;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (i == failing) continue;
+      healthy.push_back(specs[i]);
+      original.push_back(i);
+    }
+    std::vector<std::string> visited(healthy.size());
+    const auto results = fleet::run_fleet_sharded(
+        healthy, {}, workers,
+        [&](std::size_t i, const fleet::SimSpec& spec,
+            const core::SimulationResult& result) {
+          visited[i] = identity(spec.tasks, result);
+          return static_cast<bool>(keep[original[i]]);
+        });
+    ASSERT_EQ(results.size(), healthy.size());
+    for (std::size_t j = 0; j < healthy.size(); ++j) {
+      const std::size_t i = original[j];
+      EXPECT_EQ(visited[j], serial[i].full) << "sim " << i << ", " << workers;
+      EXPECT_EQ(identity(specs[i].tasks, results[j]),
+                keep[i] ? serial[i].full : serial[i].row)
+          << "sim " << i << ", " << workers << " workers";
+    }
+  }
+}
+
 /// The audit battery accepts fleet-produced traces: zero violations
 /// over a batched sweep, with the aggregator seeing every run.
 TEST(FleetDifferential, AuditPassOverFleetTraces) {
   const std::vector<fleet::SimSpec> specs = make_specs(4, false);
   audit::AuditAggregator agg("fleet_differential");
   const auto results =
-      audit::simulate_fleet(specs, fleet::FleetOptions{}, &agg);
+      audit::simulate_fleet_sharded(specs, fleet::FleetOptions{}, &agg, 1);
   ASSERT_EQ(results.size(), specs.size());
   // Traces were forced for auditing, then dropped per spec.
   for (const auto& result : results) EXPECT_FALSE(result.trace.has_value());

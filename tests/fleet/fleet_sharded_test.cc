@@ -7,8 +7,13 @@
 // serialized currency the differential suite uses.
 #include "fleet/fleet.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "audit/harness.h"
@@ -43,6 +48,36 @@ std::string identity(const sched::TaskSet& tasks,
     id += io::trace_jobs_csv(*result.trace, names);
   }
   return id;
+}
+
+/// An unschedulable two-task set under strict miss semantics: the
+/// second task misses its first deadline, so the sim throws.  `tag`
+/// names the tasks, so two such specs throw different messages.
+fleet::SimSpec missing_spec(const std::string& tag) {
+  sched::TaskSet tasks;
+  tasks.add(sched::make_task("hog_" + tag, 100, 80.0));
+  tasks.add(sched::make_task("late_" + tag, 100, 40.0));
+  sched::assign_rate_monotonic(tasks);
+  core::EngineOptions options;
+  options.horizon = 1'000;
+  options.seed = 3;
+  return {std::move(tasks), power::ProcessorConfig::arm8_default(),
+          core::SchedulerPolicy::fps(), nullptr, options};
+}
+
+/// An aggregator's full AUDIT_<name>.json text (samples included),
+/// written into the test's temp directory and removed again.
+std::string report_json(const audit::AuditAggregator& agg) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(setenv("LPFPS_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+  const std::string path = agg.write_report();
+  EXPECT_EQ(unsetenv("LPFPS_BENCH_JSON_DIR"), 0);
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::stringstream contents;
+  contents << in.rdbuf();
+  std::remove(path.c_str());
+  return contents.str();
 }
 
 /// A 200-spec mixed batch: the sweep regime (RM-schedulable UUniFast
@@ -194,7 +229,7 @@ TEST(FleetSharded, AuditedShardedMatchesAuditedSerial) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
   specs.resize(40);
   audit::AuditAggregator serial_agg("fleet_sharded_serial");
-  const auto serial = audit::simulate_fleet(specs, {}, &serial_agg);
+  const auto serial = audit::simulate_fleet_sharded(specs, {}, &serial_agg, 1);
   audit::AuditAggregator sharded_agg("fleet_sharded");
   const auto sharded =
       audit::simulate_fleet_sharded(specs, {}, &sharded_agg, 4);
@@ -208,6 +243,148 @@ TEST(FleetSharded, AuditedShardedMatchesAuditedSerial) {
   EXPECT_EQ(sharded_agg.runs(), static_cast<std::int64_t>(specs.size()));
   EXPECT_EQ(sharded_agg.violation_count(), 0);
   EXPECT_NO_THROW(sharded_agg.check());
+}
+
+/// Two sims that throw, in different shards at 2 and 4 workers: every
+/// worker count rethrows the lower index's exception, with the type and
+/// message a serial core::simulate of that spec throws, and nothing
+/// reaches the aggregator (a sim failure wins over the audit fold).
+TEST(FleetShardedFold, LowestIndexSimFailureWinsAtEveryWorkerCount) {
+  std::vector<fleet::SimSpec> specs = make_mixed_specs();
+  specs.resize(40);
+  specs[7] = missing_spec("first");
+  specs[33] = missing_spec("second");
+
+  std::string want_type;
+  std::string want_what;
+  try {
+    (void)core::simulate(specs[7].tasks, specs[7].processor, specs[7].policy,
+                         specs[7].exec_model, specs[7].options);
+    FAIL() << "spec 7 must throw";
+  } catch (const std::exception& e) {
+    want_type = typeid(e).name();
+    want_what = e.what();
+  }
+  ASSERT_NE(want_what.find("late_first"), std::string::npos);
+
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const bool aggregated : {false, true}) {
+      audit::AuditAggregator agg("fleet_sharded_fold");
+      try {
+        (void)audit::simulate_fleet_sharded(specs, {},
+                                            aggregated ? &agg : nullptr,
+                                            workers);
+        ADD_FAILURE() << workers << " workers: no exception";
+      } catch (const std::exception& e) {
+        EXPECT_EQ(typeid(e).name(), want_type) << workers << " workers";
+        EXPECT_EQ(e.what(), want_what) << workers << " workers";
+      }
+      EXPECT_EQ(agg.runs(), 0) << workers << " workers";
+    }
+  }
+}
+
+/// The aggregator an audited sharded call feeds reads the same at every
+/// worker count: the summary line and the whole AUDIT json.
+TEST(FleetShardedFold, AggregatorIsIdenticalAcrossWorkerCounts) {
+  std::vector<fleet::SimSpec> specs = make_mixed_specs();
+  specs.resize(60);
+  std::string want_line;
+  std::string want_json;
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    audit::AuditAggregator agg("fleet_sharded_fold");
+    const auto results =
+        audit::simulate_fleet_sharded(specs, {}, &agg, workers);
+    ASSERT_EQ(results.size(), specs.size());
+    EXPECT_EQ(agg.runs(), static_cast<std::int64_t>(specs.size()));
+    if (workers == 1) {
+      want_line = agg.summary_line();
+      want_json = report_json(agg);
+      EXPECT_NE(want_json.find("\"runs\":60"), std::string::npos);
+      continue;
+    }
+    EXPECT_EQ(agg.summary_line(), want_line) << workers << " workers";
+    EXPECT_EQ(report_json(agg), want_json) << workers << " workers";
+  }
+}
+
+/// No real spec fails its audit, so violations are planted in the
+/// lane-side reports of a real sharded run (the same visitor shape
+/// simulate_fleet_sharded uses) and folded by fold_lane_audits: the
+/// samples come out in spec order at every worker count, and without
+/// an aggregator the lowest failing index throws.
+TEST(FleetShardedFold, FoldKeepsSpecOrderForPlantedViolations) {
+  std::vector<fleet::SimSpec> specs = make_mixed_specs();
+  specs.resize(48);
+  for (fleet::SimSpec& spec : specs) spec.options.record_trace = true;
+  const std::vector<std::size_t> planted = {5, 17, 30, 46};
+
+  const auto run = [&](std::size_t workers,
+                       std::vector<core::SimulationResult>& results) {
+    std::vector<audit::LaneAudit> audits(specs.size());
+    results = fleet::run_fleet_sharded(
+        specs, {}, workers,
+        [&](std::size_t i, const fleet::SimSpec& spec,
+            const core::SimulationResult& result) {
+          audit::LaneAudit& lane = audits[i];
+          lane.report = audit::audit_run(
+              result, spec.tasks, spec.processor,
+              audit::derive_options(spec.policy, spec.options));
+          for (const std::size_t p : planted) {
+            if (p != i) continue;
+            lane.report.violations.push_back(
+                {"X" + std::to_string(i), static_cast<Time>(i),
+                 "planted at spec " + std::to_string(i)});
+            lane.policy = spec.policy.name + "#" + std::to_string(i);
+          }
+          return false;
+        });
+    return audits;
+  };
+
+  std::string want_line;
+  std::string want_json;
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::vector<core::SimulationResult> results;
+    const std::vector<audit::LaneAudit> audits = run(workers, results);
+    ASSERT_EQ(results.size(), specs.size());
+
+    audit::AuditAggregator agg("fleet_sharded_planted");
+    audit::fold_lane_audits(audits, results, &agg);
+    EXPECT_EQ(agg.violation_count(),
+              static_cast<std::int64_t>(planted.size()));
+    const std::string json = report_json(agg);
+    std::size_t at = 0;
+    for (const std::size_t p : planted) {
+      const std::size_t found =
+          json.find("\"invariant\":\"X" + std::to_string(p) + "\"", at);
+      ASSERT_NE(found, std::string::npos) << "sample " << p << " out of order";
+      at = found;
+    }
+    if (workers == 1) {
+      want_line = agg.summary_line();
+      want_json = json;
+    } else {
+      EXPECT_EQ(agg.summary_line(), want_line) << workers << " workers";
+      EXPECT_EQ(json, want_json) << workers << " workers";
+    }
+
+    try {
+      audit::fold_lane_audits(audits, results, nullptr);
+      ADD_FAILURE() << "planted violations must throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace audit failed for policy '" +
+                          specs[5].policy.name + "#5'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("planted at spec 5"), std::string::npos) << what;
+      EXPECT_EQ(what.find("planted at spec 17"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace
