@@ -22,14 +22,10 @@
 // containment acceptance bar of docs/ROBUSTNESS.md.
 //
 // Every simulation is trace-audited with the fault-aware battery
-// (audit::simulate + shared AuditAggregator, F-codes included); the
-// bench aborts after the table on any violation and writes
+// (one audit::simulate_fleet_sharded batch + shared AuditAggregator,
+// F-codes included), byte-identical at any LPFPS_JOBS; the bench
+// aborts after the table on any violation and writes
 // AUDIT_fault_sweep.json for the gate.
-//
-// With LPFPS_FLEET set (docs/FLEET.md) the sweep runs through the
-// batched fleet engine instead of run_batch; by the fleet's
-// bit-identity contract the table, JSON points, and audit summary are
-// byte-identical either way.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -131,23 +127,15 @@ int main() {
   };
 
   audit::AuditAggregator agg("fault_sweep");
-  std::vector<core::SimulationResult> results;
-  if (fleet::enabled()) {
-    std::vector<fleet::SimSpec> specs;
-    specs.reserve(jobs.size());
-    for (const Job& job : jobs) {
-      specs.push_back(
-          {job.tasks, cpu, configs[job.config].policy, exec, job_options(job)});
-    }
-    results = audit::simulate_fleet_sharded(std::move(specs),
-                                            fleet::FleetOptions{}, &agg);
-  } else {
-    results = runner::run_batch(jobs.size(), [&](std::size_t i) {
-      const Job& job = jobs[i];
-      return audit::simulate(job.tasks, cpu, configs[job.config].policy, exec,
-                             job_options(job), &agg);
-    });
+  std::vector<fleet::SimSpec> specs;
+  specs.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    specs.push_back(
+        {job.tasks, cpu, configs[job.config].policy, exec, job_options(job)});
   }
+  const std::vector<core::SimulationResult> results =
+      audit::simulate_fleet_sharded(std::move(specs), fleet::FleetOptions{},
+                                    &agg);
 
   std::puts("== Fault sweep: WCET overruns vs containment ==");
   std::printf("overrun probability %.2f, BCET/WCET = %.1f; magnitude m "

@@ -12,18 +12,14 @@
 // is tracked — and gated — like any other throughput number.  A fifth
 // section measures the fleet engine (docs/FLEET.md): aggregate
 // events/sec across a pool of small UUniFast sims, run once as a serial
-// core::simulate-per-spec loop (the status quo) and once through one
-// FleetEngine reusing its lane — the speedup the fleet is gated on.
+// core::simulate-per-spec loop (the status quo) and once as a whole
+// one-lane fleet::run_fleet_sharded call — the speedup the fleet is
+// gated on.
 //
 // Emits BENCH_kernel_throughput.json; CI's perf-smoke job diffs the
 // events/sec columns against bench/baseline_kernel_throughput.json and
 // fails on a >25% regression (see docs/PERFORMANCE.md for the
 // tolerance rationale and how to refresh the baseline).
-//
-// With LPFPS_FLEET set, the synthetic UUniFast section additionally
-// routes its measured runs through a single-lane fleet engine instead
-// of core::simulate (bit-identical results; the measured cost gains the
-// fleet's dispatch overhead, which this bench exists to observe).
 //
 // Timing methodology: each point is run once to size a repetition count
 // that fills ~kMinWall of wall time, then re-run that many times under
@@ -307,16 +303,8 @@ int main() {
       }
       CycleStats cycle;
       const Throughput t = measure([&] {
-        core::SimulationResult result;
-        if (fleet::enabled()) {
-          // Routed through a single-lane fleet batch (bit-identical).
-          std::vector<fleet::SimSpec> specs;
-          specs.push_back({tasks, cpu, policy, exec, options});
-          result = std::move(
-              fleet::run_fleet(std::move(specs), fleet::FleetOptions{})[0]);
-        } else {
-          result = core::simulate(tasks, cpu, policy, exec, options);
-        }
+        const core::SimulationResult result =
+            core::simulate(tasks, cpu, policy, exec, options);
         cycle = CycleStats::of(result);
         return static_cast<std::int64_t>(result.scheduler_invocations);
       });
@@ -384,11 +372,12 @@ int main() {
   // A pool of small RM-feasible 5-task UUniFast sims — the sweep regime
   // where per-sim fixed cost (engine copies, buffer allocation, RNG
   // seeding) rivals the event work.  "serial" runs core::simulate per
-  // spec (fresh engine and buffers each time); "lanes" runs the pool
-  // through one FleetEngine, paying construction once and rebinding its
-  // lane thereafter.  Results are bit-identical, so events/run is
-  // constant and the events/sec column isolates the setup cost the
-  // fleet amortizes.  Both rows are perf-gated like every other row.
+  // spec (fresh engine and buffers each time); "lanes" times the whole
+  // one-worker fleet::run_fleet_sharded call a sweep makes (spec copy
+  // included), which constructs one lane and rebinds it thereafter.
+  // Results are bit-identical, so events/run is constant and the
+  // events/sec column isolates the setup cost the fleet amortizes.
+  // Both rows are perf-gated like every other row.
   {
     const std::size_t kFleetSims = 1024;
     std::vector<fleet::SimSpec> specs;
@@ -427,11 +416,10 @@ int main() {
       }
       return events;
     };
-    fleet::FleetEngine engine;
-    for (const fleet::SimSpec& spec : specs) engine.add(spec);
-    const auto lanes = [&engine] {
+    const auto lanes = [&specs] {
       std::int64_t events = 0;
-      for (const core::SimulationResult& result : engine.run_all()) {
+      for (const core::SimulationResult& result :
+           fleet::run_fleet_sharded(specs, {}, 1)) {
         events += result.scheduler_invocations;
       }
       return events;

@@ -1,22 +1,16 @@
 #include "audit/harness.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "io/bench_json.h"
 
 namespace lpfps::audit {
 
-bool enabled() {
-  const char* value = std::getenv("LPFPS_AUDIT");
-  if (value == nullptr) return true;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
-}
+bool enabled() { return env_flag_enabled("LPFPS_AUDIT"); }
 
 AuditOptions derive_options(const core::SchedulerPolicy& policy,
                             const core::EngineOptions& options) {
@@ -303,22 +297,6 @@ std::vector<core::SimulationResult> simulate_fleet_sharded(
   std::vector<core::SimulationResult> results = fleet::run_fleet_sharded(
       std::move(specs), fleet_options, threads, audit_on_lane);
   fold_lane_audits(audits, results, aggregator);
-  return results;
-}
-
-std::vector<core::SimulationResult> simulate_routed(
-    std::vector<fleet::SimSpec> specs, AuditAggregator* aggregator,
-    const fleet::FleetOptions& fleet_options, std::size_t threads) {
-  if (fleet::enabled()) {
-    return simulate_fleet_sharded(std::move(specs), fleet_options, aggregator,
-                                  threads);
-  }
-  std::vector<core::SimulationResult> results;
-  results.reserve(specs.size());
-  for (const fleet::SimSpec& spec : specs) {
-    results.push_back(simulate(spec.tasks, spec.processor, spec.policy,
-                               spec.exec_model, spec.options, aggregator));
-  }
   return results;
 }
 

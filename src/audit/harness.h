@@ -119,15 +119,16 @@ core::SimulationResult simulate(const sched::TaskSet& tasks,
                                 const core::EngineOptions& options,
                                 AuditAggregator* aggregator = nullptr);
 
-/// Fleet twin of audit::simulate: runs the specs through
-/// fleet::run_fleet_sharded (one FleetEngine per ThreadPool worker,
-/// contiguous positional shards), forcing recorded traces while the
-/// audit is enabled.  Each worker audits every sim it ran against that
-/// sim's own spec right after the run, then hands the traces the spec
-/// did not ask for back to its lane for reuse.  The calling thread folds
-/// the reports in spec order (fold_lane_audits), so results, aggregator
-/// sums and samples, and the throw are byte-identical for any worker
-/// count, and to per-spec audit::simulate calls.  A throwing sim wins
+/// Batch twin of audit::simulate, and the one way sweeps run a batch
+/// of audited sims: runs the specs through fleet::run_fleet_sharded
+/// (one reused lane per worker, each claiming the next unclaimed spec),
+/// forcing recorded traces while the audit is enabled.  Each worker
+/// audits every sim it ran against that sim's own spec right after the
+/// run, then hands the traces the spec did not ask for back to its lane
+/// for reuse.  The calling thread folds the reports in spec order
+/// (fold_lane_audits), so results, aggregator sums and samples, and the
+/// throw are byte-identical for any worker count, and to per-spec
+/// audit::simulate calls made in spec order.  A throwing sim wins
 /// over any audit failure.  `threads == 0` means
 /// runner::default_job_count() (LPFPS_JOBS); `threads == 1` runs on the
 /// calling thread.  With the audit disabled this is exactly
@@ -149,17 +150,6 @@ struct LaneAudit {
 void fold_lane_audits(const std::vector<LaneAudit>& audits,
                       const std::vector<core::SimulationResult>& results,
                       AuditAggregator* aggregator);
-
-/// The bench routing switch: runs `specs` through the sharded audited
-/// fleet when fleet routing is on (fleet::enabled(), i.e. LPFPS_FLEET),
-/// and through per-spec audit::simulate calls — today's serial sweep
-/// loop — when it is off.  Both paths return results in spec order and
-/// are byte-identical by the fleet's bit-identity contract, so a sweep
-/// can build its spec list once and dispatch here instead of carrying
-/// two loop bodies.
-std::vector<core::SimulationResult> simulate_routed(
-    std::vector<fleet::SimSpec> specs, AuditAggregator* aggregator = nullptr,
-    const fleet::FleetOptions& fleet_options = {}, std::size_t threads = 0);
 
 /// core::normalized_power with both runs audited.
 double normalized_power(const sched::TaskSet& tasks,

@@ -1,8 +1,5 @@
 #include "common/random.h"
 
-#include <sstream>
-#include <string>
-
 #include "common/check.h"
 #include "common/math_utils.h"
 
@@ -32,41 +29,6 @@ double Rng::clamped_gaussian(double mean, double stddev, double lo,
                              double hi) {
   LPFPS_CHECK(lo <= hi);
   return clamp(gaussian(mean, stddev), lo, hi);
-}
-
-std::mt19937_64 Rng::warmed_engine(std::uint64_t seed) {
-  // mt19937_64 works lazily in blocks of 312 words: seeding expands the
-  // seed over the whole state, and the first draw generates the first
-  // block -- together ~2us, the single largest fixed cost of starting a
-  // simulation.  Both are pure functions of the seed, so they can be
-  // hoisted: draw once to force the block generation, then rewind the
-  // cursor to the block start through the engine's textual
-  // representation (libstdc++ streams the 312 state words followed by
-  // the cursor position).
-  std::mt19937_64 engine(seed);
-  (void)engine();
-  std::ostringstream os;
-  os << engine;
-  std::string text = os.str();
-  const std::size_t cut = text.find_last_of(' ');
-  std::mt19937_64 rewound;
-  bool ok = cut != std::string::npos;
-  if (ok) {
-    text.resize(cut + 1);
-    text += '0';
-    std::istringstream is(text);
-    is >> rewound;
-    ok = !is.fail();
-  }
-  if (ok) {
-    // Contract check: the rewound engine must replay the fresh engine's
-    // stream exactly.  Guards against a standard library whose textual
-    // layout differs from the one assumed above.
-    std::mt19937_64 fresh(seed);
-    std::mt19937_64 probe = rewound;
-    for (int i = 0; ok && i < 8; ++i) ok = fresh() == probe();
-  }
-  return ok ? rewound : std::mt19937_64(seed);
 }
 
 std::uint64_t Rng::fork_seed() {

@@ -23,24 +23,6 @@ class Rng {
   /// simulation lanes without reallocating.
   void reseed(std::uint64_t seed) { engine_.seed(seed); }
 
-  /// Restores an engine state previously captured with warmed_engine().
-  /// A plain 2.5 KB copy — roughly 50x cheaper than reseed() plus the
-  /// lazy first-block generation a freshly seeded mt19937_64 performs on
-  /// its first draw.  The fleet engine caches one warmed state per spec
-  /// and restores it on every lane rebind.
-  void restore(const std::mt19937_64& engine) { engine_ = engine; }
-
-  /// Engine state that replays, via restore(), the exact draw stream of
-  /// `Rng(seed)` — with the seed expansion *and* the lazy first-block
-  /// generation already performed, so the first draw after a restore is
-  /// as cheap as any other.  The result is verified against a freshly
-  /// seeded engine before being returned; if the verification fails
-  /// (e.g. a standard library whose textual engine representation
-  /// differs from the one the fast-forward relies on), a plainly seeded
-  /// engine is returned instead — bit-identical either way, merely
-  /// without the speedup.
-  static std::mt19937_64 warmed_engine(std::uint64_t seed);
-
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi);
 

@@ -7,14 +7,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/float_compare.h"
 #include "core/speed_ratio.h"
 #include "power/speed_profile.h"
@@ -24,25 +23,14 @@ namespace lpfps::core {
 
 using namespace detail;
 
-namespace {
-
-}  // namespace
-
 /// LPFPS_CYCLE=0/off/false force-disables steady-state fast-forward
 /// regardless of EngineOptions::cycle_detection (the same convention the
 /// audit layer uses for LPFPS_AUDIT).
-bool cycle_detection_env_enabled() {
-  const char* value = std::getenv("LPFPS_CYCLE");
-  if (value == nullptr) return true;
-  return std::strcmp(value, "0") != 0 && std::strcmp(value, "off") != 0 &&
-         std::strcmp(value, "false") != 0;
-}
+bool cycle_detection_env_enabled() { return env_flag_enabled("LPFPS_CYCLE"); }
 
 namespace {
 
-
-/// The begin() validation bundle, shared with SimState::prepare so the
-/// fleet's hoisted checks are exactly the per-run ones.
+/// The begin() validation bundle.
 void validate_spec(const sched::TaskSet& tasks,
                    const power::ProcessorConfig& processor,
                    const SchedulerPolicy& policy,
@@ -85,56 +73,21 @@ bool hard_rta_schedulable(const sched::TaskSet& tasks) {
   return sched::is_schedulable_rta(tasks);
 }
 
-/// The spec-fixed cycle-eligibility gates of setup_cycle_detection (the
-/// LPFPS_CYCLE env gate stays at run time): returns the hyperperiod when
-/// the spec qualifies, 0 when it does not.  Gate rationale lives at the
-/// call site in setup_cycle_detection.
-std::int64_t eligible_cycle_hyperperiod(const sched::TaskSet& tasks,
-                                        const exec::ExecModelPtr& exec_model,
-                                        const EngineOptions& options) {
-  if (!options.cycle_detection) return 0;
-  if (options.faults.any() || options.containment.enabled()) return 0;
-  // The governor's skip history (window masks, overload latch) is not
-  // part of the boundary fingerprint, so armed runs must not fast-forward.
-  if (tasks.has_weakly_hard() &&
-      options.weakly_hard.policy != weakly_hard::SkipPolicy::kNever) {
-    return 0;
-  }
-  for (const Time j : options.release_jitter) {
-    if (j > 0.0) return 0;
-  }
-  if (options.timer_granularity > 0.0) return 0;
-  if (options.invocation_hook) return 0;
-  if (exec_model != nullptr && exec_model->name() == "trace") return 0;
-  std::int64_t hyper = 0;
-  try {
-    hyper = tasks.hyperperiod();
-  } catch (const std::overflow_error&) {
-    return 0;  // Mutually-prime periods: no cycle within 64 bits.
-  }
-  if (hyper <= 0) return 0;
-  if (hyper > (std::int64_t{1} << 52)) return 0;
-  if (2.0 * static_cast<Time>(hyper) > options.horizon) return 0;
-  return hyper;
-}
-
 }  // namespace
 
 SimState::SimState(const sched::TaskSet& tasks,
                    const power::ProcessorConfig& processor,
                    const SchedulerPolicy& policy,
                    const exec::ExecModelPtr& exec_model,
-                   const EngineOptions& options,
-                   const std::mt19937_64* rng_state) {
-  reset(tasks, processor, policy, exec_model, options, rng_state);
+                   const EngineOptions& options) {
+  reset(tasks, processor, policy, exec_model, options);
 }
 
 void SimState::reset(const sched::TaskSet& tasks,
                      const power::ProcessorConfig& processor,
                      const SchedulerPolicy& policy,
                      const exec::ExecModelPtr& exec_model,
-                     const EngineOptions& options,
-                     const std::mt19937_64* rng_state) {
+                     const EngineOptions& options) {
   tasks_ = &tasks;
   processor_ = &processor;
   policy_ = &policy;
@@ -144,14 +97,7 @@ void SimState::reset(const sched::TaskSet& tasks,
   // Rng::reseed is bit-identical to fresh construction (see random.h),
   // and the optional re-emplacement rebuilds the power model in place —
   // the accumulator pointer below always refers to this lane's storage.
-  // A caller-provided warmed state (Rng::warmed_engine of options.seed)
-  // replays the same stream while skipping the seed expansion and the
-  // lazy first-block generation.
-  if (rng_state != nullptr) {
-    rng_.restore(*rng_state);
-  } else {
-    rng_.reseed(options.seed);
-  }
+  rng_.reseed(options.seed);
   power_model_.emplace(processor.make_power_model());
   accumulator_.emplace(&*power_model_);
   trace_.clear();
@@ -861,24 +807,40 @@ void SimState::maybe_detect_ramp_fault() {
   }
 }
 
-void SimState::setup_cycle_detection(const SpecPrep* prep) {
-  // The spec-fixed gates live in eligible_cycle_hyperperiod below
-  // (precomputed by prepare() on the fleet path): fault injection and
-  // containment carry state (budget windows, the safe-mode latch,
-  // perturbed timers) the fingerprint does not capture; jittered
-  // arrivals and tick-granular timers are aperiodic relative to the
-  // hyperperiod; an invocation hook observes every scheduler invocation
-  // and skipping cycles would silently drop the observations it is
-  // owed; trace-driven execution carries opaque per-task replay cursors
-  // the fingerprint cannot see; the boundary arithmetic (k*H, shifts by
-  // n*H) must stay inside the integer-exact double mantissa range; and
-  // detection needs boundaries at H and 2H inside the horizon before it
-  // can ever match.
-  const std::int64_t hyper =
-      prep != nullptr
-          ? (prep->cycle_eligible ? prep->hyperperiod : 0)
-          : eligible_cycle_hyperperiod(*tasks_, exec_model_, *options_);
-  if (hyper == 0) return;
+void SimState::setup_cycle_detection() {
+  // Fault injection and containment carry state (budget windows, the
+  // safe-mode latch, perturbed timers) the fingerprint does not
+  // capture; jittered arrivals and tick-granular timers are aperiodic
+  // relative to the hyperperiod; an invocation hook observes every
+  // scheduler invocation and skipping cycles would silently drop the
+  // observations it is owed; trace-driven execution carries opaque
+  // per-task replay cursors the fingerprint cannot see; the boundary
+  // arithmetic (k*H, shifts by n*H) must stay inside the integer-exact
+  // double mantissa range; and detection needs boundaries at H and 2H
+  // inside the horizon before it can ever match.
+  if (!options_->cycle_detection) return;
+  if (options_->faults.any() || options_->containment.enabled()) return;
+  // The governor's skip history (window masks, overload latch) is not
+  // part of the boundary fingerprint, so armed runs must not fast-forward.
+  if (tasks_->has_weakly_hard() &&
+      options_->weakly_hard.policy != weakly_hard::SkipPolicy::kNever) {
+    return;
+  }
+  for (const Time j : options_->release_jitter) {
+    if (j > 0.0) return;
+  }
+  if (options_->timer_granularity > 0.0) return;
+  if (options_->invocation_hook) return;
+  if (exec_model_ != nullptr && exec_model_->name() == "trace") return;
+  std::int64_t hyper = 0;
+  try {
+    hyper = tasks_->hyperperiod();
+  } catch (const std::overflow_error&) {
+    return;  // Mutually-prime periods: no cycle within 64 bits.
+  }
+  if (hyper <= 0) return;
+  if (hyper > (std::int64_t{1} << 52)) return;
+  if (2.0 * static_cast<Time>(hyper) > options_->horizon) return;
   if (!cycle_detection_env_enabled()) return;
   const Time length = static_cast<Time>(hyper);
   cycle_length_ = length;
@@ -1197,22 +1159,8 @@ void SimState::advance_to(const TimePoint& next) {
   now_ = next;
 }
 
-SimState::SpecPrep SimState::prepare(const sched::TaskSet& tasks,
-                                     const power::ProcessorConfig& processor,
-                                     const SchedulerPolicy& policy,
-                                     const exec::ExecModelPtr& exec_model,
-                                     const EngineOptions& options) {
-  validate_spec(tasks, processor, policy, options);
-  SpecPrep prep;
-  prep.hyperperiod = eligible_cycle_hyperperiod(tasks, exec_model, options);
-  prep.cycle_eligible = prep.hyperperiod != 0;
-  return prep;
-}
-
-void SimState::begin(const SpecPrep* prep) {
-  if (prep == nullptr) {
-    validate_spec(*tasks_, *processor_, *policy_, *options_);
-  }
+void SimState::begin() {
+  validate_spec(*tasks_, *processor_, *policy_, *options_);
 
   // kOverload's structural trigger: hard-infeasible sets are in
   // overload from the first release, before any miss can be observed.
@@ -1243,7 +1191,7 @@ void SimState::begin(const SpecPrep* prep) {
   for (TaskIndex i = 0; i < static_cast<TaskIndex>(tasks_->size()); ++i) {
     delay_queue_.insert({i, static_cast<Time>(task(i).phase)});
   }
-  setup_cycle_detection(prep);
+  setup_cycle_detection();
   invoke_scheduler();
 
   // Loop bookkeeping the old run() kept in locals.  horizon_ stays
@@ -1546,8 +1494,8 @@ SimulationResult SimState::finish() {
   return result;
 }
 
-SimulationResult SimState::run(const SpecPrep* prep) {
-  begin(prep);
+SimulationResult SimState::run() {
+  begin();
   while (!finished()) step();
   return finish();
 }

@@ -243,55 +243,26 @@ class SimState {
   /// `tasks` must validate (unique priorities assigned).  `exec_model`
   /// may be null, in which case every job takes its WCET.  Borrows every
   /// reference argument for the lifetime of the run (see file comment).
-  /// `rng_state`, when non-null, must be Rng::warmed_engine of
-  /// `options.seed`: the generator is restored from it instead of
-  /// reseeded, skipping the seed expansion and first-block generation
-  /// bit-identically (the fleet caches one warmed state per spec).
   SimState(const sched::TaskSet& tasks,
            const power::ProcessorConfig& processor,
            const SchedulerPolicy& policy, const exec::ExecModelPtr& exec_model,
-           const EngineOptions& options,
-           const std::mt19937_64* rng_state = nullptr);
+           const EngineOptions& options);
 
   SimState(const SimState&) = delete;
   SimState& operator=(const SimState&) = delete;
 
   /// Rebinds to a new simulation, reusing buffer capacity.  The state
   /// after reset is bit-identical to a freshly constructed SimState.
-  /// `rng_state` as in the constructor.
   void reset(const sched::TaskSet& tasks,
              const power::ProcessorConfig& processor,
              const SchedulerPolicy& policy,
              const exec::ExecModelPtr& exec_model,
-             const EngineOptions& options,
-             const std::mt19937_64* rng_state = nullptr);
+             const EngineOptions& options);
 
-  /// Per-spec work that is a pure function of the (immutable) spec: the
-  /// validation verdict and the cycle-eligibility probe (hyperperiod
-  /// LCM included).  The fleet computes one of these per spec at add()
-  /// time and passes it back on every run, so a rebound lane skips the
-  /// redundant re-checks; run(nullptr) — the serial path — recomputes
-  /// both, bit-identically (neither influences any simulated value,
-  /// only whether run() throws and whether the detector arms).
-  struct SpecPrep {
-    bool cycle_eligible = false;   ///< Passed every spec-fixed gate.
-    std::int64_t hyperperiod = 0;  ///< Cycle length; valid when eligible.
-  };
-
-  /// Validates the spec exactly as run() would (same checks, same
-  /// exceptions) and probes cycle eligibility.
-  static SpecPrep prepare(const sched::TaskSet& tasks,
-                          const power::ProcessorConfig& processor,
-                          const SchedulerPolicy& policy,
-                          const exec::ExecModelPtr& exec_model,
-                          const EngineOptions& options);
-
-  /// Runs the simulation to the horizon and returns its result — the
-  /// exact semantics of Engine::run (which delegates here).  Call once
-  /// per construction or reset().  With a `prep` (from prepare() on the
-  /// same spec), validation and the eligibility probe are skipped; only
-  /// the runtime LPFPS_CYCLE gate is re-read.
-  SimulationResult run(const SpecPrep* prep = nullptr);
+  /// Validates the spec, runs the simulation to the horizon and returns
+  /// its result — the exact semantics of Engine::run (which delegates
+  /// here).  Call once per construction or reset().
+  SimulationResult run();
 
   /// Hands a trace this lane produced back once its reader is done, so
   /// the next run records into its buffers (reset() clears the trace and
@@ -300,10 +271,9 @@ class SimState {
 
  private:
   // --- the main loop: begin, step until finished, finish ----------------
-  /// Validates inputs (unless `prep` is given), seeds the delay queue,
-  /// arms cycle detection, and performs the initial scheduler
-  /// invocation.
-  void begin(const SpecPrep* prep);
+  /// Validates inputs, seeds the delay queue, arms cycle detection,
+  /// and performs the initial scheduler invocation.
+  void begin();
 
   /// True once the clock has reached the horizon.
   bool finished() const {
@@ -372,9 +342,8 @@ class SimState {
   void advance_to(const detail::TimePoint& next);
 
   // --- steady-state cycle detection ------------------------------------
-  /// Arms the detector when the run qualifies (see engine.h).  With a
-  /// `prep`, reuses its precomputed eligibility verdict + hyperperiod.
-  void setup_cycle_detection(const SpecPrep* prep);
+  /// Arms the detector when the run qualifies (see engine.h).
+  void setup_cycle_detection();
   /// Fingerprints the state at now_ == next_boundary_; on a match,
   /// fast-forwards the remaining whole cycles and disarms.
   void on_cycle_boundary();

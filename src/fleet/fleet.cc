@@ -1,8 +1,7 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <atomic>
 #include <string>
 #include <utility>
 
@@ -44,73 +43,78 @@ std::vector<core::SimulationResult> results_or_rethrow(
   return results;
 }
 
-/// Runs `specs` as contiguous shards, one FleetEngine each: shard k
-/// owns specs [k * chunk, (k + 1) * chunk), a pure function of (spec
-/// count, thread count).  A single shard runs on the calling thread.
-/// Returns outcomes in spec order; `errors` receives their exceptions.
-/// `visit` sees spec-list indices: each shard offsets its engine's.
-Outcomes run_shards(std::vector<SimSpec>& specs, const FleetOptions& options,
-                    std::size_t threads, const ResultVisitor& visit,
-                    std::vector<std::exception_ptr>& errors) {
-  if (threads == 0) threads = runner::default_job_count();
-  const std::size_t shards =
-      std::max<std::size_t>(std::min(threads, specs.size()), 1);
-  const std::size_t chunk = (specs.size() + shards - 1) / shards;
-  // run_outcomes never throws, as run_batch jobs must not.  Moving
-  // from the shared spec vector is safe: shards own disjoint ranges.
-  auto run_shard = [&](std::size_t shard) {
-    FleetEngine engine(options);
-    const std::size_t begin = shard * chunk;
-    const std::size_t end = std::min(specs.size(), begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      engine.add(std::move(specs[i]));
+/// Runs `spec`, spec-list position `index`, on `lane`: constructs the
+/// lane for its first spec and rebinds it for every later one, then
+/// runs it as core::simulate would (validation included).  Never
+/// throws: a failing sim or visitor lands in `outcome` and `error`.
+void run_on_lane(std::unique_ptr<core::SimState>& lane, const SimSpec& spec,
+                 std::size_t index, const ResultVisitor& visit,
+                 runner::JobOutcome<core::SimulationResult>& outcome,
+                 std::exception_ptr& error, FleetStats& stats) {
+  try {
+    if (lane == nullptr) {
+      lane = std::make_unique<core::SimState>(spec.tasks, spec.processor,
+                                              spec.policy, spec.exec_model,
+                                              spec.options);
+      ++stats.lane_constructions;
+    } else {
+      lane->reset(spec.tasks, spec.processor, spec.policy, spec.exec_model,
+                  spec.options);
+      ++stats.lane_rebinds;
     }
-    ResultVisitor shard_visit;
-    if (visit) {
-      shard_visit = [&visit, begin](std::size_t i, const SimSpec& spec,
-                                    const core::SimulationResult& result) {
-        return visit(begin + i, spec, result);
-      };
+    core::SimulationResult& result = outcome.result.emplace(lane->run());
+    if (visit && !visit(index, spec, result) && result.trace) {
+      lane->recycle_trace(std::move(*result.trace));
+      result.trace.reset();
     }
-    Outcomes outcomes = engine.run_outcomes(shard_visit);
-    return std::make_pair(std::move(outcomes), engine.take_errors());
-  };
-  Outcomes outcomes;
-  outcomes.reserve(specs.size());
-  errors.clear();
-  for (auto& [shard_outcomes, shard_errors] :
-       runner::run_batch(shards, run_shard, shards)) {
-    for (auto& outcome : shard_outcomes) outcomes.push_back(std::move(outcome));
-    errors.insert(errors.end(), shard_errors.begin(), shard_errors.end());
+    stats.events += result.scheduler_invocations;
+  } catch (...) {
+    // The spec failed validation, the sim threw (deadline miss,
+    // livelock guard, ...) or the visitor did.  The lane may be left
+    // mid-run — harmless, the next spec reset()s it.
+    outcome.result.reset();
+    error = std::current_exception();
+    outcome.error = describe(error);
   }
+}
+
+/// Runs `specs` on min(threads, specs) workers, one lane each; every
+/// worker claims the next unclaimed index until none are left, so how
+/// the specs split across lanes depends on timing but no result does.
+/// One worker runs on the calling thread.  Returns outcomes in spec
+/// order; `errors` receives their exceptions (null on success).
+Outcomes run_workers(const std::vector<SimSpec>& specs, std::size_t threads,
+                     const ResultVisitor& visit,
+                     std::vector<std::exception_ptr>& errors) {
+  if (threads == 0) threads = runner::default_job_count();
+  const std::size_t workers =
+      std::max<std::size_t>(std::min(threads, specs.size()), 1);
+  Outcomes outcomes(specs.size());
+  errors.assign(specs.size(), nullptr);
+  std::atomic<std::size_t> next{0};
+  // Workers write disjoint outcome/error slots; run_batch's join
+  // publishes them to this thread.  run_on_lane never throws, as
+  // run_batch jobs must not, and run_batch jobs must return a value.
+  const auto worker = [&](std::size_t) {
+    std::unique_ptr<core::SimState> lane;
+    FleetStats stats;
+    for (std::size_t i = next++; i < specs.size(); i = next++) {
+      run_on_lane(lane, specs[i], i, visit, outcomes[i], errors[i], stats);
+    }
+    return 0;
+  };
+  (void)runner::run_batch(workers, worker, workers);
   return outcomes;
 }
 
 }  // namespace
 
-bool enabled() {
-  const char* value = std::getenv("LPFPS_FLEET");
-  if (value == nullptr) return false;
-  return std::strcmp(value, "") != 0 && std::strcmp(value, "0") != 0 &&
-         std::strcmp(value, "off") != 0 && std::strcmp(value, "false") != 0;
-}
-
-FleetEngine::FleetEngine(FleetOptions /*options*/) {}
+FleetEngine::FleetEngine() = default;
 
 FleetEngine::~FleetEngine() = default;
 
 std::size_t FleetEngine::add(SimSpec spec) {
-  const SimSpec& stored = specs_.emplace_back(std::move(spec));
-  Prep prep{0, nullptr, Rng::warmed_engine(stored.options.seed)};
-  try {
-    const core::SimState::SpecPrep verdict =
-        core::SimState::prepare(stored.tasks, stored.processor, stored.policy,
-                                stored.exec_model, stored.options);
-    prep.hyperperiod = verdict.cycle_eligible ? verdict.hyperperiod : 0;
-  } catch (...) {
-    prep.error = std::current_exception();
-  }
-  preps_.push_back(std::move(prep));
+  specs_.push_back(std::move(spec));
   return specs_.size() - 1;
 }
 
@@ -120,41 +124,8 @@ FleetEngine::run_outcomes(const ResultVisitor& visit) {
   stats_.sims = specs_.size();
   Outcomes outcomes(specs_.size());
   errors_.assign(specs_.size(), nullptr);
-
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const SimSpec& spec = specs_[i];
-    const Prep& prep = preps_[i];
-    try {
-      // A spec that failed validation at add() time never binds the
-      // lane: run() would throw the identical error.
-      if (prep.error) std::rethrow_exception(prep.error);
-      if (lane_ == nullptr) {
-        lane_ = std::make_unique<core::SimState>(
-            spec.tasks, spec.processor, spec.policy, spec.exec_model,
-            spec.options, &prep.rng);
-        ++stats_.lane_constructions;
-      } else {
-        lane_->reset(spec.tasks, spec.processor, spec.policy,
-                     spec.exec_model, spec.options, &prep.rng);
-        ++stats_.lane_rebinds;
-      }
-      const core::SimState::SpecPrep verdict{prep.hyperperiod != 0,
-                                             prep.hyperperiod};
-      core::SimulationResult& result =
-          outcomes[i].result.emplace(lane_->run(&verdict));
-      if (visit && !visit(i, spec, result) && result.trace) {
-        lane_->recycle_trace(std::move(*result.trace));
-        result.trace.reset();
-      }
-      stats_.events += result.scheduler_invocations;
-    } catch (...) {
-      // The sim (or the visitor) threw: deadline miss, livelock guard,
-      // ...  The lane is left mid-run — harmless, the next spec
-      // reset()s it.
-      outcomes[i].result.reset();
-      errors_[i] = std::current_exception();
-      outcomes[i].error = describe(errors_[i]);
-    }
+    run_on_lane(lane_, specs_[i], i, visit, outcomes[i], errors_[i], stats_);
   }
   return outcomes;
 }
@@ -164,28 +135,19 @@ std::vector<core::SimulationResult> FleetEngine::run_all() {
 }
 
 std::vector<core::SimulationResult> run_fleet_sharded(
-    std::vector<SimSpec> specs, const FleetOptions& options,
+    std::vector<SimSpec> specs, const FleetOptions& /*options*/,
     std::size_t threads, const ResultVisitor& visit) {
   std::vector<std::exception_ptr> errors;
-  Outcomes outcomes = run_shards(specs, options, threads, visit, errors);
+  Outcomes outcomes = run_workers(specs, threads, visit, errors);
   return results_or_rethrow(std::move(outcomes), errors);
 }
 
 std::vector<runner::JobOutcome<core::SimulationResult>>
 run_fleet_sharded_isolated(std::vector<SimSpec> specs,
-                           const FleetOptions& options, std::size_t threads) {
+                           const FleetOptions& /*options*/,
+                           std::size_t threads) {
   std::vector<std::exception_ptr> errors;
-  return run_shards(specs, options, threads, {}, errors);
-}
-
-std::vector<core::SimulationResult> run_fleet(std::vector<SimSpec> specs,
-                                              const FleetOptions& options) {
-  return run_fleet_sharded(std::move(specs), options, 1);
-}
-
-std::vector<runner::JobOutcome<core::SimulationResult>> run_fleet_isolated(
-    std::vector<SimSpec> specs, const FleetOptions& options) {
-  return run_fleet_sharded_isolated(std::move(specs), options, 1);
+  return run_workers(specs, threads, {}, errors);
 }
 
 }  // namespace lpfps::fleet

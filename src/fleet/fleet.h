@@ -1,21 +1,22 @@
-// Fleet engine: many small independent simulations on one reused lane.
+// Fleet engine: many small independent simulations on reused lanes.
 //
 // Sweeps (random tasksets, fault magnitudes, policy ablations) are loops
 // of independent, tiny simulations whose per-sim setup (Engine copies,
-// buffer allocations, mt19937_64 seeding) rivals their event work.
-// add() validates each spec, probes its cycle eligibility and warms its
-// RNG state once; run_all() runs the specs in add order on one SimState
-// *lane*, rebinding it for every spec after the first (SimState::reset:
-// buffers kept, the warmed RNG state restored instead of a reseed).
+// buffer allocations) rivals their event work.  A *lane* is one
+// SimState that runs spec after spec: constructed for its first spec,
+// rebound for every later one (SimState::reset keeps every buffer's
+// capacity), then run() exactly as core::simulate runs it —
+// validation and the cycle-eligibility probe included.
 //
 // **Bit-identity.**  A lane runs SimState::run, the code
 // `core::Engine::run` runs, and a reset lane equals a fresh one, so
 // every result (CSV row, trace, audit report) is bit-identical to a
-// serial `core::simulate` of the same spec; tests/fleet/ pins this and
-// docs/FLEET.md has the argument and the cost.  Any spec `simulate`
-// accepts is eligible, invocation hooks included, except that specs
-// sharing one exec::TraceDrivenModel instance must not be batched
-// (mutable replay cursors, as for the parallel runner).
+// serial `core::simulate` of the same spec, whichever lane ran it;
+// tests/fleet/ pins this and docs/FLEET.md has the argument and the
+// cost.  Any spec `simulate` accepts is eligible, invocation hooks
+// included, except that specs sharing one exec::TraceDrivenModel
+// instance must not be batched (mutable replay cursors, as for the
+// parallel runner).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +24,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <random>
 #include <vector>
 
 #include "core/engine.h"
@@ -74,11 +74,12 @@ using ResultVisitor = std::function<bool(
     std::size_t index, const SimSpec& spec,
     const core::SimulationResult& result)>;
 
-/// Add every spec, then run; results come back in add order.  Not
-/// thread-safe: run_fleet_sharded gives each worker its own engine.
+/// Add every spec, then run them in add order on one lane; results
+/// come back in add order.  Not thread-safe: run_fleet_sharded gives
+/// each worker its own lane.
 class FleetEngine {
  public:
-  explicit FleetEngine(FleetOptions options = {});
+  FleetEngine();
   ~FleetEngine();
 
   FleetEngine(const FleetEngine&) = delete;
@@ -104,55 +105,28 @@ class FleetEngine {
   /// Counters of the most recent run_* call.
   const FleetStats& stats() const { return stats_; }
 
-  /// Moves out the per-spec exception_ptrs of the last run (null on
-  /// success): the sharded runner rethrows the lowest-index one with
-  /// its original type after a fan-out, matching run_all.
-  std::vector<std::exception_ptr> take_errors() { return std::move(errors_); }
-
  private:
   std::vector<SimSpec> specs_;
-
-  /// Per-spec work done once at add(): the SimState::prepare verdict,
-  /// so a rebound lane skips validation and the eligibility probe, and
-  /// Rng::warmed_engine(options.seed), restored on every bind to skip
-  /// the ~2us mt19937_64 seed expansion (the largest fixed cost).
-  struct Prep {
-    std::int64_t hyperperiod = 0;  ///< 0 = cycle-ineligible.
-    std::exception_ptr error;      ///< Validation failure: never binds.
-    std::mt19937_64 rng;
-  };
-  std::vector<Prep> preps_;
 
   /// The one lane every spec runs on; unique_ptr keeps SimState
   /// incomplete in this header.
   std::unique_ptr<core::SimState> lane_;
 
-  std::vector<std::exception_ptr> errors_;  ///< See take_errors().
+  std::vector<std::exception_ptr> errors_;  ///< Per spec, null on success.
 
   FleetStats stats_;
 };
 
-/// True iff LPFPS_FLEET opts the process into fleet-routed sweeps (set
-/// and not "0"/"off"/"false"; re-read per call so tests can toggle it).
-bool enabled();
-
-/// One-call convenience: run `specs` through one FleetEngine on the
-/// calling thread.
-std::vector<core::SimulationResult> run_fleet(std::vector<SimSpec> specs,
-                                              const FleetOptions& options = {});
-
-/// run_fleet with per-sim fault isolation (JobOutcome per spec).
-std::vector<runner::JobOutcome<core::SimulationResult>> run_fleet_isolated(
-    std::vector<SimSpec> specs, const FleetOptions& options = {});
-
-/// Sharded fleet: contiguous positional shards, one FleetEngine per
-/// `runner::ThreadPool` worker.  Every spec carries its own seed and
-/// the shard boundaries depend only on (spec count, worker count), so
-/// N-worker output is byte-identical to run_fleet: results in spec
-/// order, a failure surfacing as the lowest-spec-index exception.
-/// `threads == 0` means runner::default_job_count() (LPFPS_JOBS);
-/// `threads <= 1` runs one shard on the calling thread.  `visit`, when
-/// set, runs on the worker after each successful sim (ResultVisitor).
+/// Sharded fleet: `threads` workers, each with its own lane, claim the
+/// next unclaimed spec index until none are left, so a long spec never
+/// holds up the short ones queued behind it.  Every spec carries its
+/// own seed and a lane's output does not depend on what it ran before,
+/// so the output is byte-identical for any worker count: results in
+/// spec order, a failure surfacing as the lowest-spec-index exception
+/// with its original type.  `threads == 0` means
+/// runner::default_job_count() (LPFPS_JOBS); `threads <= 1` runs on
+/// the calling thread.  `visit`, when set, runs on the worker after
+/// each successful sim (ResultVisitor).
 std::vector<core::SimulationResult> run_fleet_sharded(
     std::vector<SimSpec> specs, const FleetOptions& options = {},
     std::size_t threads = 0, const ResultVisitor& visit = {});

@@ -98,7 +98,7 @@ TEST(FleetDifferential, BatchMatchesSerialAcrossWidthsAndPolicies) {
   const std::vector<std::string> serial = serial_identities(specs);
 
   const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
+      fleet::run_fleet_sharded(specs, fleet::FleetOptions{}, 1);
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
@@ -158,7 +158,7 @@ TEST(FleetDifferential, MixedBatchWithFaultedAndCycleEligibleSims) {
   }
 
   const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
+      fleet::run_fleet_sharded(specs, fleet::FleetOptions{}, 1);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(identity(specs[i].tasks, results[i]), serial[i])
         << "sim " << i << " diverged in the mixed batch";
@@ -208,7 +208,7 @@ TEST(FleetDifferential, IsolatedOutcomesCaptureFailuresPerLane) {
   specs.insert(specs.end(), healthy.begin() + 2, healthy.end());
   ASSERT_LT(failing + 1, specs.size());
 
-  const auto outcomes = fleet::run_fleet_isolated(specs);
+  const auto outcomes = fleet::run_fleet_sharded_isolated(specs, {}, 1);
   ASSERT_EQ(outcomes.size(), specs.size());
   EXPECT_FALSE(outcomes[failing].ok());
   EXPECT_NE(outcomes[failing].error.find("deadline miss"), std::string::npos);

@@ -1,15 +1,17 @@
-// Suite pinning the sharded fleet's determinism contract: partitioning
-// a spec list positionally across ThreadPool workers — one FleetEngine
-// per worker — must produce output byte-identical to a serial fleet
-// (and therefore to serial core::simulate) for any worker count,
-// including failure surfacing (lowest-spec-index exception, original
-// type) and per-lane isolation.  Identity is asserted on the same
-// serialized currency the differential suite uses.
+// Suite pinning the sharded fleet's determinism contract: running a
+// spec list on ThreadPool workers — one reused lane each, every worker
+// claiming the next unclaimed spec — must produce output byte-identical
+// to a serial fleet (and therefore to serial core::simulate) for any
+// worker count, including failure surfacing (lowest-spec-index
+// exception, original type) and per-lane isolation.  Identity is
+// asserted on the same serialized currency the differential suite uses.
 #include "fleet/fleet.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -83,7 +85,8 @@ std::string report_json(const audit::AuditAggregator& agg) {
 /// A 200-spec mixed batch: the sweep regime (RM-schedulable UUniFast
 /// sets, both policies, stochastic execution, positional seeds) with a
 /// faulted-and-contained sim and a cycle-eligible sim spliced into the
-/// middle, so shard boundaries cut through feature-bearing lanes too.
+/// middle, so every worker count splits feature-bearing specs across
+/// lanes too.
 std::vector<fleet::SimSpec> make_mixed_specs() {
   const auto cpu = power::ProcessorConfig::arm8_default();
   const auto exec = std::make_shared<exec::ClampedGaussianModel>();
@@ -167,8 +170,8 @@ TEST(FleetSharded, WorkerCountCannotChangeOutput) {
 
 TEST(FleetSharded, IsolationUnderShardingCapturesFailuresPerLane) {
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
-  // An unschedulable set under strict miss semantics, mid-shard: its
-  // lane throws; every other lane — in the same shard and in others —
+  // An unschedulable set under strict miss semantics, mid-batch: its
+  // lane throws; every other sim — on the same lane and on others —
   // must be untouched.
   const std::size_t failing = 120;
   {
@@ -197,13 +200,13 @@ TEST(FleetSharded, IsolationUnderShardingCapturesFailuresPerLane) {
   }
 
   // The non-isolated runner surfaces that same failure as the original
-  // exception type, regardless of which shard hosts it.
+  // exception type, regardless of which lane runs it.
   EXPECT_THROW(fleet::run_fleet_sharded(specs, {}, 4), std::runtime_error);
 }
 
 TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
-  // 3 specs across 8 requested workers: shard count clamps to the spec
-  // count — no empty shard may emit, reorder, or drop results.
+  // 3 specs across 8 requested workers: the worker count clamps to the
+  // spec count — no worker may emit, reorder, or drop results.
   std::vector<fleet::SimSpec> specs = make_mixed_specs();
   specs.resize(3);
   const std::vector<core::SimulationResult> serial =
@@ -220,6 +223,95 @@ TEST(FleetSharded, MoreWorkersThanSpecsLeavesNoEmptyShardArtifacts) {
   // Degenerate inputs: no specs at all.
   EXPECT_TRUE(fleet::run_fleet_sharded({}, {}, 4).empty());
   EXPECT_TRUE(fleet::run_fleet_sharded_isolated({}, {}, 4).empty());
+}
+
+/// Dynamic claiming under skew: one long spec first, short ones after
+/// it, and mid-batch a spec that fails validation (it binds a lane like
+/// any other spec and run() rejects it, as core::simulate does).  At 1,
+/// 2 and 4 workers every result row and kept trace equals a fresh
+/// core::simulate of its spec, the visitor sees every other index
+/// exactly once, and the invalid spec fails with core::simulate's
+/// exception type and message.
+TEST(FleetSharded, SkewedBatchWithInvalidSpecMatchesFreshSimulate) {
+  std::vector<fleet::SimSpec> specs = make_mixed_specs();
+  specs.resize(48);
+  for (std::size_t i = 0; i < specs.size(); i += 2) {
+    specs[i].options.record_trace = true;
+  }
+  {
+    // Stochastic execution, so no fast-forward: 40x a short spec's
+    // horizon, all of it simulated.
+    core::EngineOptions options;
+    options.horizon = 4'000'000;
+    options.seed = 5;
+    specs.insert(specs.begin(),
+                 {workloads::example_table1(),
+                  power::ProcessorConfig::arm8_default(),
+                  core::SchedulerPolicy::lpfps(),
+                  std::make_shared<exec::ClampedGaussianModel>(), options});
+  }
+  const std::size_t invalid = 25;
+  specs[invalid].options.release_jitter = {1.0};  // One entry, four tasks.
+  ASSERT_NE(specs[invalid].tasks.size(), 1u);
+
+  std::vector<std::string> fresh(specs.size());
+  std::string want_type;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      fresh[i] = identity(
+          specs[i].tasks,
+          core::simulate(specs[i].tasks, specs[i].processor, specs[i].policy,
+                         specs[i].exec_model, specs[i].options));
+      EXPECT_NE(i, invalid) << "the invalid spec must throw";
+    } catch (const std::exception& e) {
+      ASSERT_EQ(i, invalid) << e.what();
+      want_type = typeid(e).name();
+      fresh[i] = e.what();
+    }
+  }
+  ASSERT_NE(fresh[invalid].find("release_jitter"), std::string::npos);
+
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const auto outcomes = fleet::run_fleet_sharded_isolated(specs, {}, workers);
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (i == invalid) {
+        ASSERT_FALSE(outcomes[i].ok()) << workers << " workers";
+        EXPECT_EQ(outcomes[i].error, fresh[i]) << workers << " workers";
+        continue;
+      }
+      ASSERT_TRUE(outcomes[i].ok()) << "sim " << i << ": " << outcomes[i].error;
+      EXPECT_EQ(identity(specs[i].tasks, *outcomes[i].result), fresh[i])
+          << "sim " << i << " diverged at " << workers << " workers";
+    }
+
+    // The visitor drops every other trace back into its lane.
+    std::vector<std::atomic<int>> seen(specs.size());
+    std::vector<std::string> visited(specs.size());
+    try {
+      (void)fleet::run_fleet_sharded(
+          specs, {}, workers,
+          [&](std::size_t i, const fleet::SimSpec& spec,
+              const core::SimulationResult& result) {
+            ++seen[i];
+            visited[i] = identity(spec.tasks, result);
+            return i % 4 == 0;
+          });
+      ADD_FAILURE() << workers << " workers: no exception";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(typeid(e).name(), want_type) << workers << " workers";
+      EXPECT_EQ(e.what(), fresh[invalid]) << workers << " workers";
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(seen[i].load(), i == invalid ? 0 : 1)
+          << "index " << i << " at " << workers << " workers";
+      if (i != invalid) {
+        EXPECT_EQ(visited[i], fresh[i])
+            << "visited " << i << " at " << workers << " workers";
+      }
+    }
+  }
 }
 
 /// The audited sharded entry point: zero violations across workers,

@@ -94,7 +94,7 @@ TEST(FleetWeaklyHard, SerialFleetAndShardedAreByteIdentical) {
   }
 
   const std::vector<core::SimulationResult> fleet_results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
+      fleet::run_fleet_sharded(specs, fleet::FleetOptions{}, 1);
   ASSERT_EQ(fleet_results.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(identity(specs[i].tasks, fleet_results[i]), serial[i])
@@ -117,7 +117,7 @@ TEST(FleetWeaklyHard, ArmedLanesActuallySkipped) {
   // no lane ever skipped, so pin that armed overloaded lanes did.
   const std::vector<fleet::SimSpec> specs = make_specs();
   const std::vector<core::SimulationResult> results =
-      fleet::run_fleet(specs, fleet::FleetOptions{});
+      fleet::run_fleet_sharded(specs, fleet::FleetOptions{}, 1);
   int skipped_lanes = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].jobs_skipped_weakly > 0) ++skipped_lanes;
